@@ -171,8 +171,9 @@ def cmd_sample(args) -> int:
             raise ValueError("anchor dimension does not match the table")
     ys = []
     trace_rows = []
+    memo: dict = {}
     for rnd in range(args.rounds):
-        outcome = collapse(f, anchors, rng)
+        outcome = collapse(f, anchors, rng, memo)
         y = sample_y(outcome, rng)
         ys.append(str(y))
         trace_rows.append(
@@ -180,7 +181,7 @@ def cmd_sample(args) -> int:
                 {
                     "round": rnd,
                     "observed": [int(v) for v in outcome.observed],
-                    "s_size": int(outcome.mask.sum()),
+                    "s_size": outcome.size,
                 }
             )
         )

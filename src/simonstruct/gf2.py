@@ -148,6 +148,18 @@ def _rref_ints(rows: Iterable[int], n: int) -> list[int]:
     return out
 
 
+def _rref_array(values: np.ndarray, n: int) -> list[int]:
+    """RREF of the span of an integer array, one vectorised pass per pivot."""
+    rows = values[values != 0]
+    found: list[int] = []
+    while rows.size:
+        v = int(rows[0])
+        found.append(v)
+        rows = np.where(rows & (v & -v), rows ^ v, rows)
+        rows = rows[rows != 0]
+    return _rref_ints(found, n)
+
+
 def _rank_ints(rows: Iterable[int]) -> int:
     pivots: list[int] = []
     for r in rows:
@@ -195,8 +207,15 @@ class SpanTracker:
         red = self.reduce(bits)
         if red == 0:
             return False
-        # keep rows mutually reduced so every pivot column stays unique
-        self._pivots = _rref_ints(self._pivots + [red], self.n)
+        # red is zero on every existing pivot column, so its lowest set bit is
+        # a new pivot; clearing that column from the other rows keeps them
+        # reduced without moving their pivots
+        low = red & -red
+        pivots = self._pivots
+        for i, p in enumerate(pivots):
+            if p & low:
+                pivots[i] = p ^ red
+        pivots.insert(sum(1 for p in pivots if (p & -p) < low), red)
         return True
 
     def basis_ints(self) -> list[int]:

@@ -10,8 +10,6 @@ __all__ = ["as_rng", "DEFAULT_SEED"]
 # that pass seed=None get fresh entropy instead.
 DEFAULT_SEED = 0x53494D4F4E
 
-SeedLike = "int | np.random.Generator | None"
-
 
 def as_rng(seed=None) -> np.random.Generator:
     """Accept an int seed, an existing generator, or None (fresh entropy)."""

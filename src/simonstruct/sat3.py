@@ -190,8 +190,8 @@ def cnf_satisfiable(cnf: Cnf3) -> BitVector | None:
 
     Independent of the reduction route; exists to validate it.
     """
-    if cnf.n > MASK_N_CAP:
-        raise ValueError(f"direct check capped at n <= {MASK_N_CAP}")
+    if cnf.n > SOLVE_N_CAP:
+        raise ValueError(f"direct check capped at n <= {SOLVE_N_CAP}")
     size = 1 << cnf.n
     for start in range(0, size, _CHUNK):
         words = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)

@@ -8,8 +8,17 @@ y with probability |sum over x in S of (-1)^(x.y)|^2 / (|S| * 2**n).
 
 Every y drawn this way is orthogonal to each zero-constant structure of f,
 because S is closed under shifting by such a structure and the paired
-terms cancel exactly.  All weights are integers, so the support is exact
-and sampling needs no floating-point tolerance.
+terms cancel exactly.
+
+S is found by survivor filtering: one full-table compare at offset 0, then
+each further anchor tests only the inputs still alive, so S is held as a
+sorted index array and never as a 2**n mask.  The law of y is computed in
+S's own span: with x0 in S and V = span(S ^ x0) of dimension r, the weight
+of y depends on y only through the r bits b_j . y for a basis b_j of V.  So
+one round draws z from an r-bit integer law and then y uniformly among the
+2**(n-r) words with b_j . y = z_j.  All weights are integers summing to
+|S| * 2**r <= 2**48 (checked), so the support is exact and the cumulative
+table used for drawing never rounds.
 """
 
 from __future__ import annotations
@@ -20,12 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import DEFAULT_N_CAP, MultiTruthTable, TruthTable
-from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, null_space_basis
+from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rank_ints, _rref_array, null_space_basis
 from .rng import as_rng
 from .walsh import parity, walsh_hadamard
 
 __all__ = [
     "CollapseOutcome",
+    "SpanLaw",
     "YDistribution",
     "collapse",
     "y_distribution",
@@ -34,40 +44,138 @@ __all__ = [
     "quantum_solve",
 ]
 
+# |S| * 2**r <= 2**n * 2**n for n <= 24; int64 cumulative sums stay exact
+EXACT_TOTAL_CAP = 1 << 48
+
+
+class SpanLaw:
+    """Exact integer law of y for one surviving set S, held in S's span.
+
+    basis lists the reduced-echelon rows b_j of V = span(S ^ x0), each with
+    its pivot p_j at its lowest set bit; r = len(basis).  cumulative is the
+    running sum of W'(z) over z in [0, 2**r), where W' is the squared r-bit
+    transform of the indicator of the coordinates c(s)_j = bit p_j of s ^ x0.
+    The full-table weight is W(y) = W'(z) with z_j = b_j . y, and each z has
+    2**(n-r) such y, all of equal weight.  r = n is the identity basis.
+    """
+
+    __slots__ = ("n", "basis", "free", "cumulative")
+
+    def __init__(self, n: int, survivors: np.ndarray):
+        size = survivors.size
+        offsets = survivors ^ survivors[0]
+        # a proper subspace holds at most 2**(n-1) words, and a strided probe
+        # of about 4n survivors usually reaches rank n when S is wide
+        probe = offsets[:: max(1, size // (4 * n))]
+        if 2 * size > 1 << n or _rank_ints(probe.tolist()) == n:
+            basis = [1 << j for j in range(n)]
+        else:
+            basis = _rref_array(offsets, n)
+        r = len(basis)
+        if size << r > EXACT_TOTAL_CAP:
+            raise ValueError(f"law total {size} * 2**{r} exceeds the exact bound 2**48")
+        coords = np.zeros(size, dtype=np.int64)
+        for j, b in enumerate(basis):
+            coords |= ((offsets >> ((b & -b).bit_length() - 1)) & 1) << j
+        indicator = np.zeros(1 << r, dtype=np.int64)
+        indicator[coords] = 1
+        w = walsh_hadamard(indicator)
+        w *= w
+        np.cumsum(w, out=w)
+        assert int(w[-1]) == size << r, "Parseval: the reduced weights sum to |S| * 2**r"
+        w.flags.writeable = False
+        self.n = n
+        self.basis = tuple(basis)
+        self.free = ((1 << n) - 1) & ~sum(b & -b for b in basis)
+        self.cumulative = w
+
+    @property
+    def r(self) -> int:
+        return len(self.basis)
+
+    @property
+    def total(self) -> int:
+        """|S| * 2**r, the sum of the reduced weights."""
+        return int(self.cumulative[-1])
+
+    def reduced_weights(self) -> np.ndarray:
+        """W'(z) for every z in [0, 2**r)."""
+        return np.diff(self.cumulative, prepend=0)
+
+    def full_weights(self) -> np.ndarray:
+        """W(y) for every y in [0, 2**n), expanded from the reduced law."""
+        y = np.arange(1 << self.n, dtype=np.int64)
+        z = np.zeros_like(y)
+        for j, b in enumerate(self.basis):
+            z |= parity(y & b).astype(np.int64) << j
+        return self.reduced_weights()[z]
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One y: z by inverse cumulative lookup, then y uniform over its fiber."""
+        t = int(rng.integers(0, self.total))
+        z = int(np.searchsorted(self.cumulative, t, side="right"))
+        y = int(rng.integers(0, 1 << self.n)) & self.free
+        # b_j is zero on every other pivot, so b_j & y sees only the free bits
+        for j, b in enumerate(self.basis):
+            if ((z >> j) ^ (b & y).bit_count()) & 1:
+                y |= b & -b
+        return y
+
 
 class CollapseOutcome:
-    """Post-measurement state: constraints, observed word, surviving inputs."""
+    """Post-measurement state: constraints, observed word, surviving inputs.
 
-    __slots__ = ("n", "anchors", "observed", "mask", "size", "_weights", "_cumulative")
+    survivors is the sorted array of inputs in S.  memo, when given, maps
+    observed words to their SpanLaw; it must only be shared by outcomes of
+    the same function and anchors, for which the word determines S.
+    """
+
+    __slots__ = ("n", "anchors", "observed", "survivors", "_mask", "_law", "_memo")
 
     def __init__(
         self,
         n: int,
         anchors: tuple[BitVector, ...],
         observed: tuple[int, ...],
-        mask: np.ndarray,
+        survivors: np.ndarray,
+        memo: dict | None = None,
     ):
         self.n = n
         self.anchors = anchors
         self.observed = observed
-        mask = np.asarray(mask, dtype=np.uint8)
-        mask.flags.writeable = False
-        self.mask = mask
-        self.size = int(mask.sum())
-        self._weights = None
-        self._cumulative = None
+        survivors = np.asarray(survivors, dtype=np.int64)
+        survivors.flags.writeable = False
+        self.survivors = survivors
+        self._mask = None
+        self._law = None
+        self._memo = memo
+
+    @property
+    def size(self) -> int:
+        return int(self.survivors.size)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Read-only 0/1 indicator of S over all 2**n inputs, built on first use."""
+        if self._mask is None:
+            mask = np.zeros(1 << self.n, dtype=np.uint8)
+            mask[self.survivors] = 1
+            mask.flags.writeable = False
+            self._mask = mask
+        return self._mask
 
     def members(self) -> list[BitVector]:
-        return [BitVector(self.n, int(x)) for x in np.nonzero(self.mask)[0]]
+        return [BitVector(self.n, int(x)) for x in self.survivors]
 
-    def weights(self) -> np.ndarray:
-        """Unnormalized integer sampling weights for y (squared transform)."""
-        if self._weights is None:
-            w = walsh_hadamard(self.mask.astype(np.int64))
-            w *= w
-            w.flags.writeable = False
-            self._weights = w
-        return self._weights
+    def weights(self) -> SpanLaw:
+        """Exact integer law of y, reduced to the span of S."""
+        if self._law is None:
+            memo = {} if self._memo is None else self._memo
+            law = memo.get(self.observed)
+            if law is None:
+                law = memo[self.observed] = SpanLaw(self.n, self.survivors)
+            self._law = law
+        return self._law
 
 
 @dataclass(frozen=True)
@@ -82,56 +190,52 @@ class YDistribution:
         return float(self.probs[idx])
 
 
-def collapse(f: TruthTable, anchors: Sequence[BitVector], seed=None) -> CollapseOutcome:
+def collapse(
+    f: TruthTable, anchors: Sequence[BitVector], seed=None, memo: dict | None = None
+) -> CollapseOutcome:
     """Measure the output register over offsets (0, a_1, ..., a_l).
 
     The zero offset is implicit and always probed first.  Drawing the
     witness m uniformly reproduces the exact measurement statistics: an
     output word is seen with probability |S|/2**n and, given the word, the
-    surviving set is S itself.
+    surviving set is S itself.  Rounds that share f and the anchors may
+    share one memo dict, so a repeated word reuses its law.
     """
     anchors = tuple(anchors)
     for a in anchors:
         if a.n != f.n:
             raise ValueError("dimension mismatch")
     rng = as_rng(seed)
-    size = 1 << f.n
-    m = int(rng.integers(0, size))
-    offsets = [0] + [a.bits for a in anchors]
-    observed = []
-    mask = np.ones(size, dtype=np.uint8)
-    idx = np.arange(size)
-    for off in offsets:
-        value = int(f.table[m ^ off])
+    table = f.table
+    m = int(rng.integers(0, 1 << f.n))
+    value = int(table[m])
+    observed = [value]
+    survivors = np.flatnonzero(table == value)
+    for a in anchors:
+        value = int(table[m ^ a.bits])
         observed.append(value)
-        mask &= f.table[idx ^ off] == value
-    return CollapseOutcome(f.n, anchors, tuple(observed), mask)
+        # compress: several times faster than a boolean index on int64 here
+        survivors = survivors.compress(table[survivors ^ a.bits] == value)
+    return CollapseOutcome(f.n, anchors, tuple(observed), survivors, memo)
 
 
-def _collapse_by_value(F: MultiTruthTable, seed=None) -> CollapseOutcome:
+def _collapse_by_value(F: MultiTruthTable, seed=None, memo: dict | None = None) -> CollapseOutcome:
     rng = as_rng(seed)
-    size = 1 << F.n
-    m = int(rng.integers(0, size))
+    m = int(rng.integers(0, 1 << F.n))
     value = int(F.table[m])
-    mask = (F.table == value).astype(np.uint8)
-    return CollapseOutcome(F.n, (), (value,), mask)
+    return CollapseOutcome(F.n, (), (value,), np.flatnonzero(F.table == value), memo)
 
 
 def y_distribution(outcome: CollapseOutcome) -> YDistribution:
     """Exact law of y; probabilities sum to 1 up to float rounding."""
-    weights = outcome.weights()
+    weights = outcome.weights().full_weights()
     probs = weights / float(outcome.size << outcome.n)
     probs.flags.writeable = False
     return YDistribution(outcome.n, probs)
 
 
 def _draw_from_weights(outcome: CollapseOutcome, rng: np.random.Generator) -> BitVector:
-    if outcome._cumulative is None:
-        outcome._cumulative = np.cumsum(outcome.weights())
-    total = int(outcome.size) << outcome.n
-    t = int(rng.integers(0, total))
-    idx = int(np.searchsorted(outcome._cumulative, t, side="right"))
-    return BitVector(outcome.n, idx)
+    return BitVector(outcome.n, outcome.weights().draw(rng))
 
 
 def sample_y(outcome: CollapseOutcome, seed=None) -> BitVector:

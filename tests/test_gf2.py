@@ -148,6 +148,24 @@ def test_span_tracker_against_closure():
         assert span_set(tracker.basis_ints()) == seen
 
 
+def test_span_tracker_basis_is_the_rref_of_its_inserts():
+    # insert-time pivot clearing must give exactly the canonical RREF
+    rng = np.random.default_rng(6)
+    for trial in range(300):
+        n = int(rng.integers(1, 25))
+        tracker = SpanTracker(n)
+        inserted: list[int] = []
+        # sparse words make pivot collisions and clearing steps common
+        sparse = trial % 2 == 0
+        for _ in range(int(rng.integers(1, 2 * n + 3))):
+            v = int(rng.integers(0, 1 << n))
+            if sparse:
+                v &= int(rng.integers(0, 1 << n)) & int(rng.integers(0, 1 << n))
+            inserted.append(v)
+            tracker.add(v)
+            assert tracker.basis_ints() == _rref_ints(inserted, n)
+
+
 def test_empty_span_edge_cases():
     s = span_of(6, [])
     assert s.dim == 0

@@ -152,11 +152,13 @@ def test_caps_are_enforced():
     big = ProductEquationSystem(25, ())
     with pytest.raises(ValueError):
         solve_brute(big)
+    with pytest.raises(ValueError):
+        cnf_satisfiable(Cnf3(25, (((1, False), (2, False), (3, False)),)))
     wide = Cnf3(21, (((1, False), (2, False), (3, False)),))
     with pytest.raises(ValueError):
-        cnf_satisfiable(wide)
-    with pytest.raises(ValueError):
         cnf_mask(wide)
+    # the chunked direct check shares the brute-force solver's cap of 24
+    assert equisat_check(parse_dimacs("p cnf 21 1\n1 -2 21 0\n"))
 
 
 def test_theorem4_all_cases_default_indices():

@@ -1,11 +1,16 @@
 """Measurement collapse and output sampling against exact enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from simonstruct.boolfn import PlantSpec, TruthTable, plant_periods, plant_structure
+from simonstruct import simulate
+from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_periods, plant_structure
 from simonstruct.gf2 import BitMatrix, BitVector, null_space_basis, span_equal, span_of
 from simonstruct.simulate import (
+    CollapseOutcome,
+    _collapse_by_value,
     collapse,
     quantum_solve,
     sample_y,
@@ -174,3 +179,186 @@ def test_collapse_rejects_mismatched_anchor():
     f = TruthTable(3, np.zeros(8, dtype=np.uint8))
     with pytest.raises(ValueError):
         collapse(f, [BitVector(4, 1)])
+
+
+# ------------------------------------------------------ reduced law vs definition
+
+
+class _Scripted:
+    """Stands in for a Generator: integers() returns the given values in order."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def integers(self, low, high):
+        value = next(self._values)
+        assert low <= value < high
+        return value
+
+
+def _reachable_outcomes(f, anchors):
+    """One outcome per reachable observed word, S taken from the definition.
+
+    The word seen for witness m is (f(m ^ o) for each offset o), and S is
+    the set of witnesses that give the same word.
+    """
+    offsets = [0] + [a.bits for a in anchors]
+    x = np.arange(1 << f.n)
+    words = np.stack([f.table[x ^ o] for o in offsets], axis=1)
+    groups = {}
+    for m, word in enumerate(map(tuple, words.tolist())):
+        groups.setdefault(word, []).append(m)
+    return [CollapseOutcome(f.n, tuple(anchors), w, np.array(ms)) for w, ms in groups.items()]
+
+
+def _definition_weights(mask, cache):
+    key = mask.tobytes()
+    if key not in cache:
+        cache[key] = (slow_walsh(mask) ** 2).tolist()
+    return cache[key]
+
+
+def _assert_reduced_law_exact(out, cache):
+    """W'(z(y)) from the reduced table equals slow_walsh(mask)**2 for every y."""
+    law = out.weights()
+    reduced = law.reduced_weights().tolist()
+    implied = [
+        reduced[sum(((y & b).bit_count() & 1) << j for j, b in enumerate(law.basis))]
+        for y in range(1 << out.n)
+    ]
+    assert implied == _definition_weights(out.mask, cache)
+    assert law.total == out.size << law.r <= simulate.EXACT_TOTAL_CAP
+    assert law.cumulative.dtype == np.int64
+
+
+def _assert_draws_exact(out, cache):
+    """Every (t, u) pair the draw can consume, counted: y appears W(y) * 2**r times."""
+    law = out.weights()
+    counts = [0] * (1 << out.n)
+    for t in range(law.total):
+        for u in range(1 << out.n):
+            counts[law.draw(_Scripted(t, u))] += 1
+    assert counts == [w << law.r for w in _definition_weights(out.mask, cache)]
+
+
+def test_reduced_law_equals_the_full_table_definition():
+    cache = {}
+    checked = 0
+    # every function at n <= 2 with every anchor list of length <= 2, draws enumerated
+    for n in (1, 2):
+        size = 1 << n
+        for code in range(1 << size):
+            f = TruthTable(n, [(code >> i) & 1 for i in range(size)])
+            for k in range(3):
+                for bits in itertools.product(range(size), repeat=k):
+                    for out in _reachable_outcomes(f, [BitVector(n, b) for b in bits]):
+                        _assert_reduced_law_exact(out, cache)
+                        _assert_draws_exact(out, cache)
+                        checked += 1
+    # every function at n = 3 with every anchor list of length <= 1
+    for code in range(1 << 8):
+        f = TruthTable(3, [(code >> i) & 1 for i in range(8)])
+        for bits in [()] + [(b,) for b in range(8)]:
+            for out in _reachable_outcomes(f, [BitVector(3, b) for b in bits]):
+                _assert_reduced_law_exact(out, cache)
+                checked += 1
+    # n = 4: seeded functions, the empty list and three seeded lists of length 1..3
+    rng = np.random.default_rng(0x5A)
+    for trial in range(2000):
+        f = random_table(4, rng)
+        lists = [[]] + [
+            [BitVector(4, int(v)) for v in rng.integers(0, 16, size=int(rng.integers(1, 4)))]
+            for _ in range(3)
+        ]
+        for anchors in lists:
+            outcomes = _reachable_outcomes(f, anchors)
+            for out in outcomes:
+                _assert_reduced_law_exact(out, cache)
+                checked += 1
+            # collapse lands on one of these words with exactly its S
+            got = collapse(f, anchors, seed=trial)
+            want = next(o for o in outcomes if o.observed == got.observed)
+            assert got.survivors.tolist() == want.survivors.tolist()
+    assert checked > 40000
+
+
+def test_collapse_by_value_law_equals_the_definition():
+    rng = np.random.default_rng(0x5B)
+    cache = {}
+    for trial in range(80):
+        n = int(rng.integers(1, 5))
+        m_out = int(rng.integers(1, 4))
+        F = MultiTruthTable(n, m_out, rng.integers(0, 1 << m_out, size=1 << n))
+        values = set(np.unique(F.table).tolist())
+        seen = {}
+        for seed in range(2000):
+            out = _collapse_by_value(F, seed)
+            seen.setdefault(out.observed, out)
+            if len(seen) == len(values):
+                break
+        assert {w[0] for w in seen} == values
+        for (value,), out in seen.items():
+            assert out.survivors.tolist() == np.flatnonzero(F.table == value).tolist()
+            _assert_reduced_law_exact(out, cache)
+
+
+def test_single_survivor_gives_uniform_y():
+    # an injective function collapses to one input: r = 0 and y is uniform
+    n = 4
+    F = MultiTruthTable(n, n, np.random.default_rng(50).permutation(1 << n))
+    out = _collapse_by_value(F, seed=1)
+    law = out.weights()
+    assert out.size == 1 and law.r == 0 and law.total == 1
+    assert law.full_weights().tolist() == [1] * (1 << n)
+    assert sorted(law.draw(_Scripted(0, u)) for u in range(1 << n)) == list(range(1 << n))
+    assert np.all(y_distribution(out).probs == 1 / (1 << n))
+
+
+def test_wide_anchor_free_set_has_full_span(monkeypatch):
+    cache = {}
+    rng = np.random.default_rng(51)
+    n = 8
+    balanced = np.zeros(1 << n, dtype=np.uint8)
+    balanced[rng.permutation(1 << n)[: 1 << (n - 1)]] = 1
+    skewed = balanced.copy()
+    skewed[np.flatnonzero(balanced == 0)[:20]] = 1
+
+    def no_elimination(values, dim):
+        raise AssertionError("wide S must be settled by a short-circuit")
+
+    # |S| = 2**(n-1) needs the strided rank probe; |S| > 2**(n-1) needs none
+    monkeypatch.setattr(simulate, "_rref_array", no_elimination)
+    for table in (balanced, skewed):
+        for out in _reachable_outcomes(TruthTable(n, table), []):
+            if out.size < 1 << (n - 1):
+                continue
+            law = out.weights()
+            assert law.r == n and law.basis == tuple(1 << j for j in range(n))
+            assert law.free == 0
+            assert law.full_weights().tolist() == _definition_weights(out.mask, cache)
+
+
+def test_one_input_bit():
+    # constant f keeps both inputs, so y = 0 always; f(x) = x keeps one, so y is uniform
+    const = TruthTable(1, [1, 1])
+    ident = TruthTable(1, [0, 1])
+    for seed in range(20):
+        assert sample_y(collapse(const, [], seed=seed), seed=seed).bits == 0
+    out = collapse(ident, [], seed=0)
+    assert out.size == 1 and out.weights().r == 0
+    assert {sample_y(out, seed=s).bits for s in range(50)} == {0, 1}
+    assert collapse(const, [], seed=0).weights().r == 1
+
+
+def test_shared_memo_does_not_change_the_y_stream():
+    n = 6
+    f = random_table(n, np.random.default_rng(52))
+    shared = {}
+    streams = []
+    for memo_for_round in (lambda: shared, dict):
+        rng = np.random.default_rng(53)
+        streams.append(
+            [sample_y(collapse(f, [], rng, memo_for_round()), rng).bits for _ in range(200)]
+        )
+    assert streams[0] == streams[1]
+    assert len(shared) == 2
