@@ -146,10 +146,9 @@ def find_periods(F: MultiTruthTable, cfg: RunConfig | None = None) -> PeriodRepo
     cfg = cfg or RunConfig()
     res = cfg.resolved(F.n)
     rng = as_rng(cfg.seed)
-    memo: dict = {}
 
     def draw():
-        outcome = _collapse_by_value(F, rng, memo)
+        outcome = _collapse_by_value(F, rng)
         return _draw_from_weights(outcome, rng)
 
     ys, stabilized, rounds = _sampling_pass(draw, F.n, res)
@@ -183,10 +182,9 @@ def find_structure_simple(
     res = cfg.resolved(n)
     rng = as_rng(cfg.seed)
     anchors = _independent_anchors(n, min(res.anchor_count, n), rng)
-    memo: dict = {}
 
     def draw():
-        outcome = collapse(f, anchors, rng, memo)
+        outcome = collapse(f, anchors, rng)
         return _draw_from_weights(outcome, rng)
 
     ys, stabilized, rounds = _sampling_pass(draw, n, res)
@@ -221,10 +219,9 @@ def find_structure_iterative(
     passes = 0
     while passes < res.rounds_cap:
         anchors = [BitVector(n, int(rng.integers(0, 1 << n))) for _ in range(anchor_count)]
-        memo: dict = {}
 
         def draw():
-            outcome = collapse(f, anchors, rng, memo)
+            outcome = collapse(f, anchors, rng)
             return _draw_from_weights(outcome, rng)
 
         ys, _, rounds = _sampling_pass(draw, n, res)

@@ -74,9 +74,13 @@ class SpanLaw:
         r = len(basis)
         if size << r > EXACT_TOTAL_CAP:
             raise ValueError(f"law total {size} * 2**{r} exceeds the exact bound 2**48")
-        coords = np.zeros(size, dtype=np.int64)
-        for j, b in enumerate(basis):
-            coords |= ((offsets >> ((b & -b).bit_length() - 1)) & 1) << j
+        if r == n:
+            # identity basis: pivot j is bit j, so the coordinates are the offsets
+            coords = offsets
+        else:
+            coords = np.zeros(size, dtype=np.int64)
+            for j, b in enumerate(basis):
+                coords |= ((offsets >> ((b & -b).bit_length() - 1)) & 1) << j
         indicator = np.zeros(1 << r, dtype=np.int64)
         indicator[coords] = 1
         w = walsh_hadamard(indicator)
@@ -127,7 +131,9 @@ class CollapseOutcome:
 
     survivors is the sorted array of inputs in S.  memo, when given, maps
     observed words to their SpanLaw; it must only be shared by outcomes of
-    the same function and anchors, for which the word determines S.
+    the same function and anchors, for which the word determines S.  A law
+    is kept only when 2**r <= 4|S|: the sets S of distinct words are
+    disjoint, so the kept tables hold at most 4 * 2**n entries in all.
     """
 
     __slots__ = ("n", "anchors", "observed", "survivors", "_mask", "_law", "_memo")
@@ -173,7 +179,9 @@ class CollapseOutcome:
             memo = {} if self._memo is None else self._memo
             law = memo.get(self.observed)
             if law is None:
-                law = memo[self.observed] = SpanLaw(self.n, self.survivors)
+                law = SpanLaw(self.n, self.survivors)
+                if 1 << law.r <= 4 * self.size:
+                    memo[self.observed] = law
             self._law = law
         return self._law
 
@@ -199,7 +207,8 @@ def collapse(
     witness m uniformly reproduces the exact measurement statistics: an
     output word is seen with probability |S|/2**n and, given the word, the
     surviving set is S itself.  Rounds that share f and the anchors may
-    share one memo dict, so a repeated word reuses its law.
+    share one memo dict, so a repeated word reuses its law; that pays when
+    few words occur, as with no anchors and a few output values.
     """
     anchors = tuple(anchors)
     for a in anchors:
@@ -219,11 +228,11 @@ def collapse(
     return CollapseOutcome(f.n, anchors, tuple(observed), survivors, memo)
 
 
-def _collapse_by_value(F: MultiTruthTable, seed=None, memo: dict | None = None) -> CollapseOutcome:
+def _collapse_by_value(F: MultiTruthTable, seed=None) -> CollapseOutcome:
     rng = as_rng(seed)
     m = int(rng.integers(0, 1 << F.n))
     value = int(F.table[m])
-    return CollapseOutcome(F.n, (), (value,), np.flatnonzero(F.table == value), memo)
+    return CollapseOutcome(F.n, (), (value,), np.flatnonzero(F.table == value))
 
 
 def y_distribution(outcome: CollapseOutcome) -> YDistribution:

@@ -362,3 +362,21 @@ def test_shared_memo_does_not_change_the_y_stream():
         )
     assert streams[0] == streams[1]
     assert len(shared) == 2
+
+
+def test_memo_keeps_laws_only_where_they_are_small():
+    # three random anchors on an unstructured table: 16 words, each S of
+    # about 2**n / 16 inputs spanning all of GF(2)**n
+    n = 10
+    f = random_table(n, np.random.default_rng(54))
+    rng = np.random.default_rng(55)
+    anchors = [BitVector(n, int(v)) for v in rng.integers(1, 1 << n, size=3)]
+    memo, seen = {}, {}
+    for _ in range(400):
+        out = collapse(f, anchors, rng, memo)
+        law = out.weights()
+        seen[out.observed] = law.cumulative.size
+        if out.observed in memo:
+            assert 1 << law.r <= 4 * out.size
+    assert sum(seen.values()) > 4 << n
+    assert sum(law.cumulative.size for law in memo.values()) <= 4 << n
