@@ -24,6 +24,7 @@ __all__ = [
     "anf_of",
     "tt_of",
     "derivative",
+    "autocorr_values",
     "plant_structure",
     "plant_r_type",
     "plant_periods",
@@ -224,11 +225,26 @@ def _coset_index(n: int, basis: Subspace) -> tuple[np.ndarray, int]:
     return packed, len(free_cols)
 
 
+def autocorr_values(table: np.ndarray) -> np.ndarray:
+    """Exact int64 autocorrelation of 0/1 tables along the last axis.
+
+    Entry a is sum_x (-1)^(f(x) ^ f(x ^ a)): transform the +-1 signs,
+    square in place, transform back and shift right by n.  Parseval bounds
+    every partial sum of the second transform by 2**(2n), so int64 is exact
+    for every table under the cap.
+    """
+    table = np.asarray(table)
+    n = table.shape[-1].bit_length() - 1
+    spectrum = walsh_hadamard(1 - 2 * table.astype(np.int64))
+    spectrum *= spectrum
+    spectrum = walsh_hadamard(spectrum)
+    spectrum >>= n
+    return spectrum
+
+
 def _zero_structure_count(table: np.ndarray) -> int:
     """Number of words a with f constant on every coset of {0, a}."""
-    signs = 1 - 2 * table.astype(np.int64)
-    spectrum = walsh_hadamard(walsh_hadamard(signs) ** 2) >> int(np.log2(table.size))
-    return int(np.count_nonzero(spectrum == table.size))
+    return int(np.count_nonzero(autocorr_values(table) == table.size))
 
 
 def plant_structure(spec: PlantSpec) -> TruthTable:

@@ -22,6 +22,7 @@ from .boolfn import (
     PlantSpec,
     TruthTable,
     _mono_index,
+    autocorr_values,
     format_anf,
     format_multi_truth_table,
     format_truth_table,
@@ -33,7 +34,7 @@ from .boolfn import (
     plant_structure,
 )
 from .gf2 import BitVector, span_equal, span_of
-from .oracle import autocorrelation, brute_periods, brute_structures, r_type_scan
+from .oracle import _r_type_hits, _structure_sets, _violations, autocorrelation, brute_periods
 from .probmodel import (
     prob_table,
     q_direct_row,
@@ -52,7 +53,6 @@ from .rng import DEFAULT_SEED, as_rng
 from .sat3 import parse_dimacs, reduce_cnf, solve_brute, theorem4_verify
 from .simulate import collapse, sample_y
 from .symbolic import classify_top, derivative_anf, theorem2_system
-from .walsh import walsh_hadamard
 
 _SCHEMA = "1"
 
@@ -197,21 +197,17 @@ def cmd_sample(args) -> int:
 def cmd_oracle(args) -> int:
     f = _load_single(args.f, args.n_cap)
     spectrum = autocorrelation(f, cap=args.n_cap)
-    sets = brute_structures(f, cap=args.n_cap)
-    full = 1 << f.n
+    sets = _structure_sets(spectrum)
     vals = spectrum.values
-    v_zero = (full - vals) >> 1
-    v_one = (full + vals) >> 1
-    violations = np.minimum(v_zero, v_one)
-    constants = (v_one < v_zero).astype(np.int64)
 
     if args.format == "csv":
+        violations, constants = _violations(spectrum)
         u0_set = set(sets.u0.member_ints().tolist())
         u1_set = {int(b) for b in sets.u1}
         rows = [
             f"{BitVector(f.n, a)},{int(vals[a])},{int(a in u0_set)},"
             f"{int(a in u1_set)},{int(violations[a])},{int(constants[a])}"
-            for a in range(full)
+            for a in range(1 << f.n)
         ]
         _emit(_csv_doc("alpha,autocorr,in_u0,in_u1,violations,c", rows), args.out)
         return 0
@@ -225,7 +221,7 @@ def cmd_oracle(args) -> int:
         "u1": [str(b) for b in sets.u1],
     }
     if args.scan_r is not None:
-        hits = r_type_scan(f, args.scan_r, cap=args.n_cap)
+        hits = _r_type_hits(spectrum, args.scan_r)
         doc["r_type_hits"] = [
             {"alpha": str(h.alpha), "c": h.c, "violations": h.violations}
             for h in hits
@@ -459,7 +455,7 @@ def cmd_bench(args) -> int:
         best = float("inf")
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            walsh_hadamard(walsh_hadamard(1 - 2 * f.table.astype(np.int64)) ** 2)
+            autocorr_values(f.table)
             best = min(best, time.perf_counter() - t0)
         t0 = time.perf_counter()
         find_structure_simple(f, RunConfig(seed=_child_seed(rng)))

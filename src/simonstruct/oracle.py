@@ -3,7 +3,10 @@
 A word a is a linear structure of f when f(x ^ a) ^ f(x) is the same
 constant c for every x.  The c = 0 words form a subspace; the c = 1 words
 are either empty or a single coset of it.  Both sets are read off the
-autocorrelation spectrum, which hits +-2**n exactly on structures.
+autocorrelation spectrum, which hits +-2**n exactly on structures.  The
+spectrum comes from :func:`boolfn.autocorr_values`, the one kernel for it;
+the readers of a spectrum take an :class:`AutocorrSpectrum`, so a caller
+that needs several of them computes it once.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boolfn import DEFAULT_N_CAP, MultiTruthTable, TruthTable, _check_cap
-from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rref_ints
+from .boolfn import DEFAULT_N_CAP, MultiTruthTable, TruthTable, _check_cap, autocorr_values
+from .gf2 import BitMatrix, BitVector, Subspace, _rref_ints
 from .rng import as_rng
-from .walsh import walsh_hadamard, xor_permute
+from .walsh import xor_permute
 
 __all__ = [
     "AutocorrSpectrum",
@@ -84,55 +87,34 @@ class VerifyResult:
 def autocorrelation(f: TruthTable, cap: int = DEFAULT_N_CAP) -> AutocorrSpectrum:
     """Autocorrelation spectrum in O(n * 2**n) via two transforms.
 
-    Transform the +-1 image of f, square pointwise, transform back and
-    rescale; integer arithmetic throughout, so the result is exact.
+    Computed by :func:`boolfn.autocorr_values` in exact integer arithmetic.
     """
     _check_cap(f.n, cap)
-    signs = 1 - 2 * f.table.astype(np.int64)
-    spectrum = walsh_hadamard(walsh_hadamard(signs) ** 2) >> f.n
-    return AutocorrSpectrum(f.n, spectrum)
+    return AutocorrSpectrum(f.n, autocorr_values(f.table))
 
 
-def _subspace_basis_from_members(members: np.ndarray, n: int) -> list[int]:
-    """Basis of a subspace given as a sorted array of all member words.
+def _subspace_from_members(members: np.ndarray, n: int) -> Subspace:
+    """Subspace given as the sorted array of all its member words.
 
-    For a subspace sorted as integers, the elements at positions 2**j form
-    a basis; verify by re-expanding, and fall back to an incremental scan
-    if the fast pick ever disagrees.
+    Order a subspace's reduced basis by leading bit: the map from
+    coefficient index to member preserves order, so the sorted members at
+    positions 2**j form a basis.  Re-expanding them checks that the set is
+    closed under xor.
     """
     count = len(members)
     if count == 0 or members[0] != 0 or count & (count - 1):
         raise RuntimeError("structure set is not closed under xor")
-    dim = count.bit_length() - 1
-    picks = [int(members[1 << j]) for j in range(dim)]
-    span = np.zeros(1, dtype=np.int64)
-    for b in picks:
-        span = np.concatenate([span, span ^ b])
-    span.sort()
-    if np.array_equal(span, members):
-        return picks
-    tracker = SpanTracker(n)
-    for m in members:
-        tracker.add(int(m))
-        if tracker.dim == dim:
-            break
-    basis = tracker.basis_ints()
-    span = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        span = np.concatenate([span, span ^ b])
-    span.sort()
-    if not np.array_equal(span, members):
+    picks = [int(members[1 << j]) for j in range(count.bit_length() - 1)]
+    subspace = Subspace(BitMatrix.from_ints(n, _rref_ints(picks, n)))
+    if not np.array_equal(subspace.member_ints(), members):
         raise RuntimeError("structure set is not closed under xor")
-    return basis
+    return subspace
 
 
-def brute_structures(f: TruthTable, cap: int = DEFAULT_N_CAP) -> StructureSets:
-    """Exact structure sets read from the full autocorrelation spectrum."""
-    spectrum = autocorrelation(f, cap)
-    full = 1 << f.n
+def _structure_sets(spectrum: AutocorrSpectrum) -> StructureSets:
+    full = 1 << spectrum.n
     u0_members = np.nonzero(spectrum.values == full)[0]
-    basis = _subspace_basis_from_members(u0_members, f.n)
-    u0 = Subspace(BitMatrix.from_ints(f.n, _rref_ints(basis, f.n)))
+    u0 = _subspace_from_members(u0_members, spectrum.n)
     u1_members = np.nonzero(spectrum.values == -full)[0]
     if len(u1_members):
         if len(u1_members) != len(u0_members):
@@ -140,8 +122,13 @@ def brute_structures(f: TruthTable, cap: int = DEFAULT_N_CAP) -> StructureSets:
         shifted = np.sort(u1_members ^ u1_members[0])
         if not np.array_equal(shifted, u0_members):
             raise RuntimeError("one-constant set is not a coset of the subspace")
-    u1 = tuple(BitVector(f.n, int(m)) for m in u1_members)
+    u1 = tuple(BitVector(spectrum.n, int(m)) for m in u1_members)
     return StructureSets(u0=u0, u1=u1)
+
+
+def brute_structures(f: TruthTable, cap: int = DEFAULT_N_CAP) -> StructureSets:
+    """Exact structure sets read from the full autocorrelation spectrum."""
+    return _structure_sets(autocorrelation(f, cap))
 
 
 def brute_periods(F: MultiTruthTable, cap: int = DEFAULT_N_CAP) -> Subspace:
@@ -149,18 +136,37 @@ def brute_periods(F: MultiTruthTable, cap: int = DEFAULT_N_CAP) -> Subspace:
 
     A shift fixes F everywhere iff it is a zero-constant structure of
     every output bit, so the period set is the intersection of the
-    per-bit structure subspaces, read off their spectra.
+    per-bit structure subspaces, read off their spectra one output bit at
+    a time so that peak memory does not grow with m_out.
     """
     _check_cap(F.n, cap)
     size = 1 << F.n
     mask = np.ones(size, dtype=bool)
     for j in range(F.m_out):
-        signs = 1 - 2 * ((F.table >> j) & 1)
-        spectrum = walsh_hadamard(walsh_hadamard(signs) ** 2) >> F.n
-        mask &= spectrum == size
-    members = np.nonzero(mask)[0]
-    basis = _subspace_basis_from_members(members, F.n)
-    return Subspace(BitMatrix.from_ints(F.n, _rref_ints(basis, F.n)))
+        mask &= autocorr_values((F.table >> j) & 1) == size
+    return _subspace_from_members(np.nonzero(mask)[0], F.n)
+
+
+def _violations(spectrum: AutocorrSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Per shift, the fewest inputs breaking a constant derivative, and that constant.
+
+    A shift with spectrum value A has (2**n - A) / 2 inputs violating c = 0
+    and (2**n + A) / 2 violating c = 1; ties (A = 0) report c = 0.
+    """
+    full = 1 << spectrum.n
+    v0 = (full - spectrum.values) >> 1
+    v1 = (full + spectrum.values) >> 1
+    return np.minimum(v0, v1), (v1 < v0).astype(np.int64)
+
+
+def _r_type_hits(spectrum: AutocorrSpectrum, r: int) -> list[RTypeHit]:
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    best, const = _violations(spectrum)
+    return [
+        RTypeHit(BitVector(spectrum.n, int(i)), int(const[i]), int(best[i]))
+        for i in np.nonzero(best <= r)[0]
+    ]
 
 
 def r_type_scan(f: TruthTable, r: int, cap: int = DEFAULT_N_CAP) -> list[RTypeHit]:
@@ -170,19 +176,7 @@ def r_type_scan(f: TruthTable, r: int, cap: int = DEFAULT_N_CAP) -> list[RTypeHi
     constants; ties (spectrum value 0) report c = 0.  r = 0 returns exactly
     the linear structures, and r = 2**(n-1) returns every shift.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    spectrum = autocorrelation(f, cap)
-    full = 1 << f.n
-    v0 = (full - spectrum.values) >> 1
-    v1 = (full + spectrum.values) >> 1
-    best = np.minimum(v0, v1)
-    hits = []
-    for idx in np.nonzero(best <= r)[0]:
-        i = int(idx)
-        c = 0 if v0[i] <= v1[i] else 1
-        hits.append(RTypeHit(BitVector(f.n, i), c, int(best[i])))
-    return hits
+    return _r_type_hits(autocorrelation(f, cap), r)
 
 
 def violation_points(f: TruthTable, alpha: BitVector, c: int) -> list[BitVector]:

@@ -80,27 +80,13 @@ def _direct_check_caps(n: int, i: int) -> None:
 
 
 def q_direct(n: int, i: int) -> Fraction:
-    """Excess-draw factor by brute force, exact.
+    """Excess-draw factor by brute force, exact: entry i of :func:`q_direct_row`.
 
     Sums 2^-(sum_j (n-j)*x_j) over every composition x_0 + ... + x_n = i
-    of nonnegative integers.  The last coordinate carries weight zero, so
-    it is pinned to the remainder rather than looped.  Independent of the
-    recurrence route; used to validate it.
+    of nonnegative integers.  Independent of the recurrence route; used to
+    validate it.
     """
-    _direct_check_caps(n, i)
-    # bucket compositions by total exponent, one Fraction sum at the end
-    counts = [0] * (n * i + 1)
-
-    def descend(j: int, rem: int, t: int) -> None:
-        if j == n:
-            counts[t] += 1
-            return
-        w = n - j
-        for x in range(rem + 1):
-            descend(j + 1, rem - x, t + w * x)
-
-    descend(0, i, 0)
-    return sum(Fraction(c, 1 << t) for t, c in enumerate(counts) if c)
+    return q_direct_row(n, i)[i]
 
 
 def q_direct_row(n: int, i_max: int) -> list[Fraction]:
@@ -108,9 +94,8 @@ def q_direct_row(n: int, i_max: int) -> list[Fraction]:
 
     The weight-zero last coordinate means a composition's summand depends
     only on x_0..x_{n-1}; each prefix with sum p contributes the same term
-    to every total i >= p.  One sweep over prefixes therefore yields the
-    whole row, where calling :func:`q_direct` per entry would redo the
-    enumeration i_max + 1 times.
+    to every total i >= p, the last coordinate taking the remainder.  One
+    sweep over prefixes therefore yields the whole row.
     """
     _direct_check_caps(n, i_max)
     # counts[p][t]: prefixes x_0..x_{n-1} with sum p and exponent t

@@ -17,7 +17,7 @@ from .boolfn import MultiTruthTable, TruthTable
 from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, null_space_basis, span_equal
 from .oracle import VerifyResult, brute_structures, sampled_verify
 from .rng import as_rng
-from .simulate import _collapse_by_value, _draw_from_weights, collapse
+from .simulate import collapse, sample_y
 
 __all__ = [
     "RunConfig",
@@ -148,8 +148,7 @@ def find_periods(F: MultiTruthTable, cfg: RunConfig | None = None) -> PeriodRepo
     rng = as_rng(cfg.seed)
 
     def draw():
-        outcome = _collapse_by_value(F, rng)
-        return _draw_from_weights(outcome, rng)
+        return sample_y(collapse(F, (), rng), rng)
 
     ys, stabilized, rounds = _sampling_pass(draw, F.n, res)
     span = null_space_basis(BitMatrix(F.n, tuple(ys)))
@@ -184,8 +183,7 @@ def find_structure_simple(
     anchors = _independent_anchors(n, min(res.anchor_count, n), rng)
 
     def draw():
-        outcome = collapse(f, anchors, rng)
-        return _draw_from_weights(outcome, rng)
+        return sample_y(collapse(f, anchors, rng), rng)
 
     ys, stabilized, rounds = _sampling_pass(draw, n, res)
     mat = BitMatrix(n, tuple(ys))
@@ -221,8 +219,7 @@ def find_structure_iterative(
         anchors = [BitVector(n, int(rng.integers(0, 1 << n))) for _ in range(anchor_count)]
 
         def draw():
-            outcome = collapse(f, anchors, rng)
-            return _draw_from_weights(outcome, rng)
+            return sample_y(collapse(f, anchors, rng), rng)
 
         ys, _, rounds = _sampling_pass(draw, n, res)
         all_rounds += rounds

@@ -199,16 +199,22 @@ class YDistribution:
 
 
 def collapse(
-    f: TruthTable, anchors: Sequence[BitVector], seed=None, memo: dict | None = None
+    f: TruthTable | MultiTruthTable,
+    anchors: Sequence[BitVector],
+    seed=None,
+    memo: dict | None = None,
 ) -> CollapseOutcome:
     """Measure the output register over offsets (0, a_1, ..., a_l).
 
-    The zero offset is implicit and always probed first.  Drawing the
-    witness m uniformly reproduces the exact measurement statistics: an
-    output word is seen with probability |S|/2**n and, given the word, the
-    surviving set is S itself.  Rounds that share f and the anchors may
-    share one memo dict, so a repeated word reuses its law; that pays when
-    few words occur, as with no anchors and a few output values.
+    f may be single- or multi-output: the observed word holds f's output
+    at each offset, so with no anchors a multi-output F collapses to the
+    inputs sharing one output value, as in period finding.  The zero offset
+    is implicit and always probed first.  Drawing the witness m uniformly
+    reproduces the exact measurement statistics: an output word is seen
+    with probability |S|/2**n and, given the word, the surviving set is S
+    itself.  Rounds that share f and the anchors may share one memo dict,
+    so a repeated word reuses its law; that pays when few words occur, as
+    with no anchors and a few output values.
     """
     anchors = tuple(anchors)
     for a in anchors:
@@ -228,13 +234,6 @@ def collapse(
     return CollapseOutcome(f.n, anchors, tuple(observed), survivors, memo)
 
 
-def _collapse_by_value(F: MultiTruthTable, seed=None) -> CollapseOutcome:
-    rng = as_rng(seed)
-    m = int(rng.integers(0, 1 << F.n))
-    value = int(F.table[m])
-    return CollapseOutcome(F.n, (), (value,), np.flatnonzero(F.table == value))
-
-
 def y_distribution(outcome: CollapseOutcome) -> YDistribution:
     """Exact law of y; probabilities sum to 1 up to float rounding."""
     weights = outcome.weights().full_weights()
@@ -243,20 +242,15 @@ def y_distribution(outcome: CollapseOutcome) -> YDistribution:
     return YDistribution(outcome.n, probs)
 
 
-def _draw_from_weights(outcome: CollapseOutcome, rng: np.random.Generator) -> BitVector:
-    return BitVector(outcome.n, outcome.weights().draw(rng))
-
-
 def sample_y(outcome: CollapseOutcome, seed=None) -> BitVector:
     """One y draw from the exact integer-weight law of the outcome."""
-    return _draw_from_weights(outcome, as_rng(seed))
+    return BitVector(outcome.n, outcome.weights().draw(as_rng(seed)))
 
 
 def simon_round(F: MultiTruthTable, seed=None) -> BitVector:
     """One full period-finding round against a multi-output function."""
     rng = as_rng(seed)
-    outcome = _collapse_by_value(F, rng)
-    return _draw_from_weights(outcome, rng)
+    return sample_y(collapse(F, (), rng), rng)
 
 
 def quantum_solve(

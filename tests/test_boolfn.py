@@ -9,6 +9,7 @@ from simonstruct.boolfn import (
     PlantSpec,
     TruthTable,
     anf_of,
+    autocorr_values,
     derivative,
     format_anf,
     format_multi_truth_table,
@@ -24,11 +25,26 @@ from simonstruct.boolfn import (
 from simonstruct.gf2 import BitVector, span_of
 from simonstruct.oracle import brute_periods, brute_structures
 
-from _oracles import span_set, structure_sets_def
+from _oracles import autocorr_def, span_set, structure_sets_def
 
 
 def random_table(n, rng):
     return TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
+
+
+def test_autocorr_values_matches_definition_for_every_small_table():
+    for n in range(1, 4):
+        size = 1 << n
+        tables = np.array(
+            [[(code >> x) & 1 for x in range(size)] for code in range(1 << size)],
+            dtype=np.uint8,
+        )
+        stacked = autocorr_values(tables)
+        assert stacked.dtype == np.int64 and stacked.shape == tables.shape
+        for table, row in zip(tables, stacked):
+            want = [autocorr_def(table, a) for a in range(size)]
+            assert autocorr_values(table).tolist() == want
+            assert row.tolist() == want
 
 
 def test_truth_table_call_and_eq():

@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from simonstruct import boolfn, cli, oracle
 from simonstruct.boolfn import parse_multi_truth_table, parse_truth_table
 
 
@@ -146,6 +148,22 @@ def test_oracle_json_with_scan(workdir):
     hits = doc["r_type_hits"]
     assert any(h["violations"] == 0 for h in hits)
     assert all(h["violations"] <= 4 for h in hits)
+
+
+def test_oracle_computes_the_spectrum_once(workdir, monkeypatch, capsys):
+    real = boolfn.autocorr_values
+    calls = []
+
+    def counted(table):
+        calls.append(np.shape(table))
+        return real(table)
+
+    for module in (boolfn, oracle, cli):
+        monkeypatch.setattr(module, "autocorr_values", counted, raising=False)
+    assert cli.main(["oracle", "--f", str(workdir / "f.tt"), "--scan-r", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["u0_dim"] == 2 and doc["r_type_hits"]
+    assert calls == [(256,)]
 
 
 def test_prob_table_csv(workdir):

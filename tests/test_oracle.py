@@ -1,11 +1,14 @@
 """Exhaustive structure analysis against definition-level scans."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from simonstruct.boolfn import PlantSpec, TruthTable, plant_periods, plant_r_type, plant_structure
+from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_periods, plant_r_type, plant_structure
 from simonstruct.gf2 import BitVector, span_of
 from simonstruct.oracle import (
+    _subspace_from_members,
     anchored_confirm,
     autocorrelation,
     brute_periods,
@@ -90,6 +93,23 @@ def test_brute_periods_matches_scan():
         F = plant_periods(n, basis, seed=trial)
         span = brute_periods(F)
         assert set(int(x) for x in span.member_ints()) == period_set_def(F.table)
+
+
+def test_brute_periods_matches_definition_for_every_small_table():
+    # every table, so period sets of dimension 0 are covered, not only planted spans
+    for n, m_out in ((2, 2), (3, 1)):
+        for words in itertools.product(range(1 << m_out), repeat=1 << n):
+            F = MultiTruthTable(n, m_out, words)
+            span = brute_periods(F)
+            assert set(span.member_ints().tolist()) == period_set_def(F.table)
+
+
+def test_subspace_from_members_checks_closure():
+    sub = _subspace_from_members(np.array([0, 3, 5, 6]), 3)
+    assert sub.member_ints().tolist() == [0, 3, 5, 6]
+    for members in ([0, 1, 2, 4], [0, 1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(RuntimeError):
+            _subspace_from_members(np.array(members, dtype=np.int64), 3)
 
 
 def test_r_type_scan_counts_and_constants():

@@ -35,10 +35,11 @@ def test_recurrence_matches_direct_sum():
             assert q_exact(n, i) == q_direct(n, i)
 
 
-def test_direct_row_matches_per_pair_route():
+def test_direct_row_does_not_depend_on_its_length():
     for n in range(1, 5):
-        row = q_direct_row(n, 6)
-        assert row == [q_direct(n, i) for i in range(7)]
+        full = q_direct_row(n, 6)
+        for i in range(7):
+            assert q_direct_row(n, i) == full[: i + 1]
 
 
 def test_known_small_values():

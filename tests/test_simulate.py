@@ -10,7 +10,6 @@ from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_per
 from simonstruct.gf2 import BitMatrix, BitVector, null_space_basis, span_equal, span_of
 from simonstruct.simulate import (
     CollapseOutcome,
-    _collapse_by_value,
     collapse,
     quantum_solve,
     sample_y,
@@ -292,7 +291,7 @@ def test_collapse_by_value_law_equals_the_definition():
         values = set(np.unique(F.table).tolist())
         seen = {}
         for seed in range(2000):
-            out = _collapse_by_value(F, seed)
+            out = collapse(F, (), seed)
             seen.setdefault(out.observed, out)
             if len(seen) == len(values):
                 break
@@ -306,7 +305,7 @@ def test_single_survivor_gives_uniform_y():
     # an injective function collapses to one input: r = 0 and y is uniform
     n = 4
     F = MultiTruthTable(n, n, np.random.default_rng(50).permutation(1 << n))
-    out = _collapse_by_value(F, seed=1)
+    out = collapse(F, (), seed=1)
     law = out.weights()
     assert out.size == 1 and law.r == 0 and law.total == 1
     assert law.full_weights().tolist() == [1] * (1 << n)
