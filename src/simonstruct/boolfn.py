@@ -84,7 +84,7 @@ class TruthTable:
         )
 
     def __repr__(self) -> str:
-        body = "".join(str(int(b)) for b in self.table) if self.n <= 5 else "..."
+        body = format_bit_rows(self.table[None, :], 1).strip() if self.n <= 5 else "..."
         return f"TruthTable(n={self.n}, {body})"
 
 
@@ -302,56 +302,73 @@ def plant_periods(n: int, basis: Subspace, seed=None) -> MultiTruthTable:
 
 
 # ---------------------------------------------------------------------------
-# text formats
+# text formats: a "n=<k>" header line, then lines of 0/1 characters
+
+
+def format_bit_rows(words: np.ndarray, width: int) -> str:
+    """One newline-terminated line per row of the 2-D int array `words`;
+    each word gives `width` characters of 0/1, bit 0 (x_1) first."""
+    rows, cols = words.shape
+    text = np.full((rows, cols * width + 1), ord("\n"), dtype=np.uint8)
+    for j in range(width):
+        text[:, j : cols * width : width] = (words >> j) & 1 | ord("0")
+    return text.tobytes().decode("ascii")
+
+
+def parse_bit_rows(data: bytes, count: int) -> np.ndarray:
+    """`count` equal-width lines of 0/1 characters as a (count, width) uint8 bit matrix;
+    spaces, control bytes and blank lines around them are skipped."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    solid = buf > ord(" ")
+    # line i is the run buf[edges[2i]:edges[2i+1]]; edges[1:-1] alternates gaps and runs
+    edges = np.flatnonzero(np.diff(solid, prepend=False, append=False))
+    widths = edges[1::2] - edges[::2]
+    if len(widths) != count or np.any(widths != widths[0]):
+        raise ValueError(f"need {count} data lines of one width, got {len(widths)} lines")
+    breaks = (buf == ord("\n")) | (buf == ord("\r"))
+    if count > 1 and not np.logical_or.reduceat(breaks, edges[1:-1])[::2].all():
+        raise ValueError("a table line has a blank inside it")
+    bits = buf[solid].reshape(count, -1) - ord("0")
+    if bits.max() > 1:
+        raise ValueError("data lines must hold only 0/1 characters")
+    return bits
+
+
+def _read_header(text: str) -> tuple[int, bytes]:
+    """Dimension from the first non-blank line, 'n=<k>', and the text after it."""
+    # non-ASCII text raises UnicodeEncodeError, a ValueError
+    head, _, body = text.encode("ascii").lstrip().partition(b"\n")
+    if not re.fullmatch(rb"n=\s*\d+\s*", head):
+        raise ValueError(f"table text must start with a 'n=<k>' line, not {head[:32]!r}")
+    n = int(head[2:])
+    _check_cap(n)
+    return n, body
+
 
 def format_truth_table(f: TruthTable) -> str:
     """Header line "n=<k>" then one line of 2**k characters, entry m first."""
-    body = "".join(str(int(b)) for b in f.table)
-    return f"n={f.n}\n{body}\n"
+    return f"n={f.n}\n" + format_bit_rows(f.table[None, :], 1)
 
 
 def parse_truth_table(text: str) -> TruthTable:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("n="):
-        raise ValueError("truth table text must be a 'n=<k>' line plus one data line")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"bad dimension header {lines[0]!r}") from None
-    _check_cap(n)
-    body = lines[1]
-    if len(body) != 1 << n or any(ch not in "01" for ch in body):
-        raise ValueError(f"data line must be 2**{n} characters of 0/1")
-    return TruthTable(n, [int(ch) for ch in body])
+    n, body = _read_header(text)
+    return TruthTable(n, parse_bit_rows(body, 1)[0])
 
 
 def format_multi_truth_table(F: MultiTruthTable) -> str:
     """Header line "n=<k>" then 2**k lines of m_out-bit words, bit 1 first."""
-    lines = [f"n={F.n}"]
-    for word in F.table:
-        w = int(word)
-        lines.append("".join("1" if (w >> i) & 1 else "0" for i in range(F.m_out)))
-    return "\n".join(lines) + "\n"
+    return f"n={F.n}\n" + format_bit_rows(F.table[:, None], F.m_out)
 
 
 def parse_multi_truth_table(text: str) -> MultiTruthTable:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("multi-output table text must start with a 'n=<k>' line")
-    try:
-        n = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"bad dimension header {lines[0]!r}") from None
-    _check_cap(n)
-    body = lines[1:]
-    if len(body) != 1 << n:
-        raise ValueError(f"expected 2**{n} data lines, got {len(body)}")
-    m_out = len(body[0])
-    words = []
-    for ln in body:
-        if len(ln) != m_out or any(ch not in "01" for ch in ln):
-            raise ValueError(f"bad output word line {ln!r}")
-        words.append(sum(1 << i for i, ch in enumerate(ln) if ch == "1"))
+    n, body = _read_header(text)
+    bits = parse_bit_rows(body, 1 << n)
+    m_out = bits.shape[1]
+    if not 1 <= m_out <= 63:
+        raise ValueError("output width must be in 1..63")
+    # packbits keeps 1 byte per 8 bits, where a dot product would widen every bit to int64
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.pad(packed, ((0, 0), (0, 8 - packed.shape[1]))).view("<i8")[:, 0]
     return MultiTruthTable(n, m_out, words)
 
 

@@ -10,6 +10,7 @@ or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -24,6 +25,7 @@ from .boolfn import (
     _mono_index,
     autocorr_values,
     format_anf,
+    format_bit_rows,
     format_multi_truth_table,
     format_truth_table,
     parse_anf,
@@ -74,8 +76,8 @@ def _json_doc(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _csv_doc(header: str, rows: list[str]) -> str:
-    return "\n".join([f"# schema={_SCHEMA}", header, *rows]) + "\n"
+def _csv_doc(*lines: str) -> str:
+    return "\n".join([f"# schema={_SCHEMA}", *lines]) + "\n"
 
 
 def _mono_text(mono: frozenset[int], var: str) -> str:
@@ -84,18 +86,11 @@ def _mono_text(mono: frozenset[int], var: str) -> str:
     return "*".join(f"{var}{i}" for i in sorted(mono))
 
 
-def _load_single(path: str, n_cap: int):
-    f = parse_truth_table(_read_text(path))
-    if f.n > n_cap:
-        raise ValueError(f"table dimension {f.n} exceeds --n-cap {n_cap}")
-    return f
-
-
-def _load_multi(path: str, n_cap: int):
-    F = parse_multi_truth_table(_read_text(path))
-    if F.n > n_cap:
-        raise ValueError(f"table dimension {F.n} exceeds --n-cap {n_cap}")
-    return F
+def _load_table(parse, path: str, n_cap: int):
+    table = parse(_read_text(path))
+    if table.n > n_cap:
+        raise ValueError(f"table dimension {table.n} exceeds --n-cap {n_cap}")
+    return table
 
 
 def _child_seed(rng: np.random.Generator) -> int:
@@ -110,7 +105,7 @@ def cmd_find(args) -> int:
         rounds_cap=args.rounds_cap, verify_p=args.verify_p, seed=args.seed
     )
     if args.mode == "periods":
-        F = _load_multi(args.f, args.n_cap)
+        F = _load_table(parse_multi_truth_table, args.f, args.n_cap)
         rep = find_periods(F, cfg)
         doc = {
             "schema": _SCHEMA,
@@ -130,7 +125,7 @@ def cmd_find(args) -> int:
         _emit(_json_doc(doc), args.out)
         return 1 if failed else 0
 
-    f = _load_single(args.f, args.n_cap)
+    f = _load_table(parse_truth_table, args.f, args.n_cap)
     run = find_structure_simple if args.mode == "simple" else find_structure_iterative
     rep = run(f, cfg, oracle_check=args.oracle_check)
     doc = {
@@ -157,7 +152,7 @@ def cmd_find(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    f = _load_single(args.f, args.n_cap)
+    f = _load_table(parse_truth_table, args.f, args.n_cap)
     rng = as_rng(args.seed)
     if args.anchors.startswith("random:"):
         count = int(args.anchors.split(":", 1)[1])
@@ -195,27 +190,28 @@ def cmd_sample(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    f = _load_single(args.f, args.n_cap)
+    f = _load_table(parse_truth_table, args.f, args.n_cap)
     spectrum = autocorrelation(f, cap=args.n_cap)
+    # the closure and coset checks guard both output formats
     sets = _structure_sets(spectrum)
     vals = spectrum.values
 
     if args.format == "csv":
-        violations, constants = _violations(spectrum)
-        u0_set = set(sets.u0.member_ints().tolist())
-        u1_set = {int(b) for b in sets.u1}
-        rows = [
-            f"{BitVector(f.n, a)},{int(vals[a])},{int(a in u0_set)},"
-            f"{int(a in u1_set)},{int(violations[a])},{int(constants[a])}"
-            for a in range(1 << f.n)
-        ]
-        _emit(_csv_doc("alpha,autocorr,in_u0,in_u1,violations,c", rows), args.out)
+        full = 1 << f.n
+        columns = (vals, vals == full, vals == -full, *_violations(spectrum))
+        blocks = []  # rows go by blocks so that one block's Python objects are alive at once
+        for lo in range(0, full, 1 << 12):
+            block = np.arange(lo, min(lo + (1 << 12), full))
+            alpha = format_bit_rows(block[:, None], f.n).split()
+            rows = zip(alpha, *(col[block].astype(np.int64).tolist() for col in columns))
+            blocks.append("\n".join(f"{a},{v},{u0},{u1},{w},{c}" for a, v, u0, u1, w, c in rows))
+        _emit(_csv_doc("alpha,autocorr,in_u0,in_u1,violations,c", *blocks), args.out)
         return 0
 
     doc = {
         "schema": _SCHEMA,
         "n": f.n,
-        "spectrum": [int(v) for v in vals],
+        "spectrum": vals.tolist(),
         "u0_basis": [str(b) for b in sets.u0.basis.rows],
         "u0_dim": sets.u0.dim,
         "u1": [str(b) for b in sets.u1],
@@ -262,8 +258,7 @@ def cmd_prob(args) -> int:
 
     kmax = args.kmax if args.kmax is not None else args.n + 32
     table = prob_table(args.n, kmax)
-    fmt = "csv" if args.csv else args.format
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "schema": _SCHEMA,
             "n": table.n,
@@ -271,9 +266,8 @@ def cmd_prob(args) -> int:
         }
         text = _json_doc(doc)
     else:
-        lines = table.csv_lines()
-        text = "\n".join([f"# schema={_SCHEMA}", *lines]) + "\n"
-    _emit(text, args.csv or args.out)
+        text = _csv_doc(*table.csv_lines())
+    _emit(text, args.out)
     return 0
 
 
@@ -400,7 +394,7 @@ def cmd_plant(args) -> int:
     if args.kind == "rtype":
         if not args.f:
             raise ValueError("--kind rtype needs --f <base table>")
-        base = _load_single(args.f, args.n_cap)
+        base = _load_table(parse_truth_table, args.f, args.n_cap)
         flipped = plant_r_type(base, args.r, _child_seed(rng))
         _emit(format_truth_table(flipped), args.out)
         if args.out:
@@ -462,7 +456,7 @@ def cmd_bench(args) -> int:
         find_s = time.perf_counter() - t0
         spectrum_times.append(best)
         rows.append(f"{n},{best:.6f},{find_s:.6f}")
-    _emit(_csv_doc("n,spectrum_seconds,find_seconds", rows), args.out)
+    _emit(_csv_doc("n,spectrum_seconds,find_seconds", *rows), args.out)
     if args.check:
         ratios = [
             b / a for a, b in zip(spectrum_times, spectrum_times[1:]) if a > 0
@@ -479,6 +473,7 @@ def cmd_bench(args) -> int:
 # -------------------------------------------------------------- parser
 
 
+@functools.cache  # one per process: a parser's reference cycles outlive each call as garbage
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -487,16 +482,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEED,
         help="RNG seed; default 0x53494D4F4E, fixed for reproducibility",
     )
-    common.add_argument(
+    common.add_argument("--out", help="write the main artifact here instead of stdout")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument(
         "--n-cap",
         type=int,
         default=DEFAULT_N_CAP,
         help=f"refuse tables larger than 2**cap entries (default {DEFAULT_N_CAP})",
     )
-    common.add_argument("--out", help="write the main artifact here instead of stdout")
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="json", help="artifact format"
-    )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="json", help="artifact format")
 
     parser = argparse.ArgumentParser(
         prog="simonstruct",
@@ -504,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("find", parents=[common], help="recover structures or periods by sampling")
+    p = sub.add_parser("find", parents=[capped], help="recover structures or periods by sampling")
     p.add_argument("--f", required=True, help="truth-table file, or - for stdin")
     p.add_argument("--mode", choices=("simple", "iterative", "periods"), default="simple")
     p.add_argument("--rounds-cap", type=int, default=None)
@@ -516,22 +511,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_find)
 
-    p = sub.add_parser("sample", parents=[common], help="emit measurement samples, one y per line")
+    p = sub.add_parser("sample", parents=[capped], help="emit measurement samples, one y per line")
     p.add_argument("--f", required=True, help="truth-table file, or - for stdin")
     p.add_argument("--anchors", default="random:0", help="anchor file or random:k")
     p.add_argument("--rounds", type=int, default=16)
     p.add_argument("--trace", help="write a JSON-lines trace of (observed, |S|) here")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("oracle", parents=[common], help="exact spectrum and structure sets")
+    p = sub.add_parser("oracle", parents=[capped, fmt], help="exact spectrum and structure sets")
     p.add_argument("--f", required=True, help="truth-table file, or - for stdin")
     p.add_argument("--scan-r", type=int, default=None, help="also list shifts with <= r violations")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("prob", parents=[common], help="success-probability tables and checks")
+    p = sub.add_parser("prob", parents=[common, fmt], help="success-probability tables and checks")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--csv", help="write the table to this path as CSV (implies --format csv)")
     p.add_argument(
         "--verify",
         action="store_true",
@@ -560,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_sat3)
 
-    p = sub.add_parser("plant", parents=[common], help="construct ground-truth instances")
+    p = sub.add_parser("plant", parents=[capped], help="construct ground-truth instances")
     p.add_argument("--kind", choices=("structure", "periods", "rtype"), default="structure")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
@@ -568,10 +562,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1, help="points to flip for --kind rtype")
     p.set_defaults(func=cmd_plant)
 
-    p = sub.add_parser("bench", parents=[common], help="transform and recovery timings per n")
+    p = sub.add_parser("bench", parents=[capped], help="transform and recovery timings per n")
     p.add_argument("--n-min", type=int, default=12)
     p.add_argument("--n-max", type=int, default=16)
     p.add_argument("--repeat", type=int, default=3, help="timing repetitions, best kept")
+    p.add_argument("--format", choices=("csv",), default="csv", help="artifact format")
     p.add_argument(
         "--check",
         action="store_true",

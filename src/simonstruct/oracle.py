@@ -42,7 +42,8 @@ class AutocorrSpectrum:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values):
-        arr = np.array(values, dtype=np.int64)
+        # a read-only view: no copy of the spectrum, the caller's array stays writable
+        arr = np.asarray(values, dtype=np.int64).view()
         if arr.shape != (1 << n,):
             raise ValueError("spectrum must have 2**n entries")
         arr.flags.writeable = False

@@ -11,7 +11,7 @@ the span.  Both verify the candidate basis against f by random probing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .boolfn import MultiTruthTable, TruthTable
 from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, null_space_basis, span_equal
@@ -29,54 +29,39 @@ __all__ = [
 ]
 
 
+# consecutive agreeing pass spans that stop the iterative variant
+STABILIZE_WINDOW = 3
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Tuning knobs; None fields resolve to defaults that scale with n.
 
-    rounds_cap       hard budget: sampling rounds per pass, and passes for
-                     the iterative variant (default 8n)
-    stabilize_window consecutive agreeing pass spans required to stop the
-                     iterative variant (default 3)
-    rank_window      consecutive rounds without rank growth required to end
-                     a sampling pass (default 12; each stalled round halves
-                     the chance that a missing dimension is still out there)
-    verify_p         probes per candidate basis vector (default max(64, 4n))
-    anchor_count     anchors in the first pass (default n)
-    anchor_growth    extra anchors per iterative pass (default ceil(n/2))
-    seed             master seed for every random draw of the run
+    rounds_cap   hard budget: sampling rounds per pass, and passes for the
+                 iterative variant (default 8n)
+    rank_window  consecutive rounds without rank growth required to end a
+                 sampling pass (default 12; each stalled round halves the
+                 chance that a missing dimension is still out there)
+    verify_p     probes per candidate basis vector (default max(64, 4n))
+    seed         master seed for every random draw of the run
     """
 
     rounds_cap: int | None = None
-    stabilize_window: int = 3
     rank_window: int | None = None
     verify_p: int | None = None
-    anchor_count: int | None = None
-    anchor_growth: int | None = None
     seed: int | None = None
 
-    def resolved(self, n: int) -> "_Resolved":
-        rounds_cap = 8 * n if self.rounds_cap is None else self.rounds_cap
-        rank_window = 12 if self.rank_window is None else self.rank_window
-        verify_p = max(64, 4 * n) if self.verify_p is None else self.verify_p
-        anchor_count = n if self.anchor_count is None else self.anchor_count
-        anchor_growth = math.ceil(n / 2) if self.anchor_growth is None else self.anchor_growth
-        if min(rounds_cap, rank_window, verify_p, anchor_count) < 1 or anchor_growth < 1:
-            raise ValueError("all resolved config values must be positive")
-        if self.stabilize_window < 1:
-            raise ValueError("stabilize_window must be positive")
-        return _Resolved(
-            rounds_cap, self.stabilize_window, rank_window, verify_p, anchor_count, anchor_growth
+    def resolved(self, n: int) -> "RunConfig":
+        """This config with every None field filled in for dimension n."""
+        res = replace(
+            self,
+            rounds_cap=8 * n if self.rounds_cap is None else self.rounds_cap,
+            rank_window=12 if self.rank_window is None else self.rank_window,
+            verify_p=max(64, 4 * n) if self.verify_p is None else self.verify_p,
         )
-
-
-@dataclass(frozen=True)
-class _Resolved:
-    rounds_cap: int
-    stabilize_window: int
-    rank_window: int
-    verify_p: int
-    anchor_count: int
-    anchor_growth: int
+        if min(res.rounds_cap, res.rank_window, res.verify_p) < 1:
+            raise ValueError("all resolved config values must be positive")
+        return res
 
 
 @dataclass(frozen=True)
@@ -116,7 +101,7 @@ def _independent_anchors(n: int, count: int, rng) -> list[BitVector]:
     return anchors
 
 
-def _sampling_pass(draw_y, n: int, res: _Resolved) -> tuple[list[BitVector], bool, int]:
+def _sampling_pass(draw_y, n: int, res: RunConfig) -> tuple[list[BitVector], bool, int]:
     """Collect ys until the rank stalls for rank_window rounds or the cap hits.
 
     Returns (ys, stabilized, rounds).  stabilized is False only when the cap
@@ -158,7 +143,7 @@ def find_periods(F: MultiTruthTable, cfg: RunConfig | None = None) -> PeriodRepo
 def _verdict(
     f: TruthTable,
     candidate: Subspace,
-    res: _Resolved,
+    res: RunConfig,
     rng,
     oracle_check: bool,
 ) -> tuple[bool, bool, tuple | None]:
@@ -175,12 +160,12 @@ def find_structure_simple(
     cfg: RunConfig | None = None,
     oracle_check: bool = False,
 ) -> StructureReport:
-    """One-pass recovery with a fixed independent anchor set."""
+    """One-pass recovery with a fixed set of n independent anchors."""
     cfg = cfg or RunConfig()
     n = f.n
     res = cfg.resolved(n)
     rng = as_rng(cfg.seed)
-    anchors = _independent_anchors(n, min(res.anchor_count, n), rng)
+    anchors = _independent_anchors(n, n, rng)
 
     def draw():
         return sample_y(collapse(f, anchors, rng), rng)
@@ -201,22 +186,23 @@ def find_structure_iterative(
 ) -> StructureReport:
     """Independent passes with fresh growing anchor sets until spans agree.
 
-    Anchors here are unconstrained uniform words.  A pass that went wrong
-    almost surely disagrees with its neighbors, so demanding
-    stabilize_window consecutive identical spans filters stray passes out.
+    Anchors here are unconstrained uniform words, n in the first pass and
+    ceil(n/2) more in each later one.  A pass that went wrong almost surely
+    disagrees with its neighbors, so demanding STABILIZE_WINDOW consecutive
+    identical spans filters stray passes out.
     """
     cfg = cfg or RunConfig()
     n = f.n
     res = cfg.resolved(n)
     rng = as_rng(cfg.seed)
-    anchor_count = max(n, res.anchor_count)
     spans: list[Subspace] = []
     all_rounds = 0
     last_ys = BitMatrix(n, ())
     stabilized = False
     passes = 0
     while passes < res.rounds_cap:
-        anchors = [BitVector(n, int(rng.integers(0, 1 << n))) for _ in range(anchor_count)]
+        count = n + passes * math.ceil(n / 2)
+        anchors = [BitVector(n, int(rng.integers(0, 1 << n))) for _ in range(count)]
 
         def draw():
             return sample_y(collapse(f, anchors, rng), rng)
@@ -226,8 +212,7 @@ def find_structure_iterative(
         last_ys = BitMatrix(n, tuple(ys))
         spans.append(null_space_basis(last_ys))
         passes += 1
-        anchor_count += res.anchor_growth
-        w = res.stabilize_window
+        w = STABILIZE_WINDOW
         if len(spans) >= w and all(span_equal(spans[-1], s) for s in spans[-w:]):
             stabilized = True
             break

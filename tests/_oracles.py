@@ -78,6 +78,14 @@ def period_set_def(table) -> set[int]:
     return {a for a in range(size) if all(t[x] == t[x ^ a] for x in range(size))}
 
 
+def bit_rows_def(words, width: int) -> str:
+    """One line per row of words; each word as width characters, bit 0 first."""
+    lines = []
+    for row in words:
+        lines.append("".join(str((int(w) >> i) & 1) for w in row for i in range(width)))
+    return "".join(line + "\n" for line in lines)
+
+
 def naive_rank(rows) -> int:
     """GF(2) rank by leading-bit elimination, no library calls."""
     work = [int(r) for r in rows if int(r)]

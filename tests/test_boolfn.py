@@ -12,9 +12,11 @@ from simonstruct.boolfn import (
     autocorr_values,
     derivative,
     format_anf,
+    format_bit_rows,
     format_multi_truth_table,
     format_truth_table,
     parse_anf,
+    parse_bit_rows,
     parse_multi_truth_table,
     parse_truth_table,
     plant_periods,
@@ -25,7 +27,7 @@ from simonstruct.boolfn import (
 from simonstruct.gf2 import BitVector, span_of
 from simonstruct.oracle import brute_periods, brute_structures
 
-from _oracles import autocorr_def, span_set, structure_sets_def
+from _oracles import autocorr_def, bit_rows_def, span_set, structure_sets_def
 
 
 def random_table(n, rng):
@@ -179,6 +181,49 @@ def test_multi_truth_table_text_round_trip():
         parse_multi_truth_table("n=2\n00\n01\n10\n")
     with pytest.raises(ValueError):
         parse_multi_truth_table("n=1\n00\n0x\n")
+
+
+def test_bit_row_codec_matches_per_character_reference():
+    rng = np.random.default_rng(28)
+    for n in range(1, 7):
+        f = random_table(n, rng)
+        text = format_truth_table(f)
+        assert text == f"n={n}\n" + bit_rows_def(f.table[None, :], 1)
+        assert parse_truth_table(text) == f
+        for m_out in sorted({1, 2, n, 63}):
+            words = rng.integers(0, 1 << m_out, size=1 << n, dtype=np.int64)
+            words[-1] |= 1 << (m_out - 1)
+            F = MultiTruthTable(n, m_out, words)
+            text = format_multi_truth_table(F)
+            assert text == f"n={n}\n" + bit_rows_def(words[:, None], m_out)
+            assert parse_multi_truth_table(text) == F
+        alphas = np.arange(1 << n)[:, None]
+        rows = format_bit_rows(alphas, n)
+        assert rows.split() == [str(BitVector(n, int(a))) for a in alphas[:, 0]]
+        assert np.array_equal(parse_bit_rows(rows.encode(), 1 << n), (alphas >> np.arange(n)) & 1)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_truth_table, "n=2\n0/10\n"),
+        (parse_truth_table, "n=2\n01\u00e90\n"),
+        (parse_truth_table, "n=2\n01 10\n"),
+        (parse_truth_table, "n=2\n0110\n0110\n"),
+        (parse_truth_table, "n=x\n01\n"),
+        (parse_multi_truth_table, "n=1\n0\u00e9\n11\n"),
+        (parse_multi_truth_table, "n=1\n011\n1\n"),
+        (parse_multi_truth_table, "n=1\n0 1\n"),
+        (parse_multi_truth_table, "n=2\n00\n01\n10\n"),
+        (parse_multi_truth_table, "n=1\n0\n1\n1\n0\n"),
+        (parse_multi_truth_table, "n=1\n20\n11\n"),
+        (parse_multi_truth_table, "n=1\n" + "0" * 64 + "\n" + "1" * 64 + "\n"),
+        (parse_multi_truth_table, ""),
+    ],
+)
+def test_table_text_rejects_malformed_input(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
 
 
 def test_anf_text_round_trip():

@@ -138,6 +138,36 @@ def test_oracle_csv_lists_all_shifts(workdir):
     assert len(u0_rows) == 4
 
 
+def test_oracle_csv_membership_columns_match_structure_sets(workdir, tmp_path, capsys):
+    f = parse_truth_table((workdir / "f.tt").read_text())
+    u0 = oracle.brute_structures(f).u0
+    low = u0.basis.rows[0].bits & -u0.basis.rows[0].bits
+    # adding the linear function x -> x.low moves half of u0 into u1
+    g = boolfn.TruthTable(f.n, f.table ^ ((np.arange(1 << f.n) & low) > 0))
+    sets = oracle.brute_structures(g)
+    assert sets.u1
+    (tmp_path / "g.tt").write_text(boolfn.format_truth_table(g))
+    assert cli.main(["oracle", "--f", str(tmp_path / "g.tt"), "--format", "csv"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[2:]]
+    assert {r[0] for r in rows if r[3] == "1"} == {str(v) for v in sets.u1}
+    assert {r[0] for r in rows if r[2] == "1"} == {str(v) for v in sets.u0.members()}
+
+
+def test_flags_are_refused_where_they_are_not_read(workdir):
+    r = run_cli("find", "--f", str(workdir / "f.tt"), "--format", "csv")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert run_cli("bench", "--n-min", "8", "--n-max", "8", "--format", "json").returncode == 2
+    assert run_cli("prob", "--n", "2", "--n-cap", "4").returncode == 2
+    assert run_cli("prob", "--n", "2", "--csv", str(workdir / "p.csv")).returncode == 2
+
+
+def test_non_ascii_table_exits_with_usage_error(tmp_path, capsys):
+    (tmp_path / "f.tt").write_text("n=1\n0\u00e9\n")
+    assert cli.main(["oracle", "--f", str(tmp_path / "f.tt")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_oracle_json_with_scan(workdir):
     r = run_cli("oracle", "--f", str(workdir / "f.tt"), "--scan-r", "4")
     assert r.returncode == 0

@@ -8,6 +8,7 @@ import pytest
 from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_periods, plant_r_type, plant_structure
 from simonstruct.gf2 import BitVector, span_of
 from simonstruct.oracle import (
+    AutocorrSpectrum,
     _subspace_from_members,
     anchored_confirm,
     autocorrelation,
@@ -49,6 +50,16 @@ def test_autocorrelation_respects_cap():
     f = TruthTable(5, np.zeros(32, dtype=np.uint8))
     with pytest.raises(ValueError):
         autocorrelation(f, cap=4)
+
+
+def test_spectrum_is_a_read_only_view_of_its_values():
+    values = np.array([4, 0, -4, 0], dtype=np.int64)
+    spectrum = AutocorrSpectrum(2, values)
+    assert np.shares_memory(spectrum.values, values)
+    assert values.flags.writeable and not spectrum.values.flags.writeable
+    assert AutocorrSpectrum(2, [4, 0, -4, 0]).values.tolist() == values.tolist()
+    with pytest.raises(ValueError):
+        AutocorrSpectrum(3, values)
 
 
 def test_brute_structures_matches_scan():
