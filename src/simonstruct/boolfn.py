@@ -149,12 +149,17 @@ class Anf:
         return max((len(m) for m in self.monomials), default=-1)
 
     def evaluate(self, x: BitVector | int) -> int:
-        bits = x.bits if isinstance(x, BitVector) else int(x)
-        acc = 0
-        for mono in self.monomials:
-            if all((bits >> (v - 1)) & 1 for v in mono):
-                acc ^= 1
-        return acc
+        return _evaluate_monomials(self.monomials, x)
+
+
+def _evaluate_monomials(monomials: Iterable[frozenset[int]], x: BitVector | int) -> int:
+    """GF(2) sum of the monomials at the point x (variable v is bit v-1)."""
+    bits = x.bits if isinstance(x, BitVector) else int(x)
+    acc = 0
+    for mono in monomials:
+        if all((bits >> (v - 1)) & 1 for v in mono):
+            acc ^= 1
+    return acc
 
 
 @dataclass(frozen=True)

@@ -152,13 +152,12 @@ def cmd_find(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.rounds < 1:
+        raise ValueError("--rounds must be at least 1")
     f = _load_table(parse_truth_table, args.f, args.n_cap)
     rng = as_rng(args.seed)
     if args.anchors.startswith("random:"):
-        count = int(args.anchors.split(":", 1)[1])
-        if count > f.n:
-            raise ValueError(f"cannot draw {count} independent anchors at n={f.n}")
-        anchors = _independent_anchors(f.n, count, rng)
+        anchors = _independent_anchors(f.n, int(args.anchors.split(":", 1)[1]), rng)
     else:
         lines = [ln for ln in _read_text(args.anchors).splitlines() if ln.strip()]
         anchors = [BitVector.from_string(ln.strip()) for ln in lines]
@@ -190,6 +189,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.format == "csv" and args.scan_r is not None:
+        raise ValueError("--scan-r is JSON only; the CSV violations column covers every shift")
     f = _load_table(parse_truth_table, args.f, args.n_cap)
     spectrum = autocorrelation(f, cap=args.n_cap)
     # the closure and coset checks guard both output formats
@@ -326,6 +327,9 @@ def cmd_anf(args) -> int:
 
 # ---------------------------------------------------------------- sat3
 
+# each identity check draws its variable count n uniformly from k.._THEOREM4_N_MAX
+_THEOREM4_N_MAX = 12
+
 
 def cmd_sat3(args) -> int:
     if not (args.reduce or args.solve or args.verify_theorem4):
@@ -353,16 +357,18 @@ def cmd_sat3(args) -> int:
     if args.verify_theorem4:
         case = args.verify_theorem4
         k_min = 4 if case == "1" else 3
-        ks = [args.k] if args.k else list(range(k_min, 9))
-        if any(k < k_min for k in ks):
-            raise ValueError(f"case {case} needs k >= {k_min}")
+        ks = [args.k] if args.k is not None else list(range(k_min, 9))
+        if args.k is not None and not k_min <= args.k <= _THEOREM4_N_MAX:
+            raise ValueError(f"case {case} needs {k_min} <= --k <= {_THEOREM4_N_MAX}")
+        if args.trials < 1:
+            raise ValueError("--trials must be at least 1")
         rng = as_rng(args.seed)
         results = []
         for k in ks:
             hold = 0
             trials = args.trials
             for _ in range(trials):
-                n = int(rng.integers(k, 13))
+                n = int(rng.integers(k, _THEOREM4_N_MAX + 1))
                 idx = tuple(int(v) + 1 for v in rng.choice(n, size=k, replace=False))
                 prefix = set(idx[: k - (4 if case == "1" else 3)])
                 extras = []
@@ -440,6 +446,8 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--n-max {args.n_max} exceeds --n-cap {args.n_cap}")
     if args.n_min < 1 or args.n_min > args.n_max:
         raise ValueError("need 1 <= --n-min <= --n-max")
+    if args.repeat < 1:
+        raise ValueError("--repeat must be at least 1")
     rng = as_rng(args.seed)
     rows = []
     spectrum_times = []

@@ -124,28 +124,17 @@ class BitMatrix:
         return "\n".join(str(r) for r in self.rows)
 
 
-def _rref_ints(rows: Iterable[int], n: int) -> list[int]:
-    """Reduced row echelon form, pivot columns ascending, zero rows dropped."""
-    work = [r for r in rows]
-    out: list[int] = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, len(work)):
-            if (work[r] >> col) & 1:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[row], work[sel] = work[sel], work[row]
-        for r in range(len(work)):
-            if r != row and (work[r] >> col) & 1:
-                work[r] ^= work[row]
-        row += 1
-        if row == len(work):
-            break
-    out = work[:row]
-    return out
+def _reduce(v: int, rows: Iterable[int]) -> int:
+    """Clear v at each row's pivot (its lowest set bit), in row order.
+
+    Exact for echelon rows, each zero on the pivots of the rows before it,
+    and for RREF rows, each zero on every other row's pivot; v lies in
+    their span iff the result is zero.
+    """
+    for p in rows:
+        if v & (p & -p):
+            v ^= p
+    return v
 
 
 def _rref_array(values: np.ndarray, n: int) -> list[int]:
@@ -157,69 +146,50 @@ def _rref_array(values: np.ndarray, n: int) -> list[int]:
         found.append(v)
         rows = np.where(rows & (v & -v), rows ^ v, rows)
         rows = rows[rows != 0]
-    return _rref_ints(found, n)
-
-
-def _rank_ints(rows: Iterable[int]) -> int:
-    pivots: list[int] = []
-    for r in rows:
-        for p in pivots:
-            low = p & -p
-            if r & low:
-                r ^= p
-        if r:
-            pivots.append(r)
-    return len(pivots)
-
-
-def _reduce_by_rref(v: int, basis: Iterable[int]) -> int:
-    for b in basis:
-        pivot = b & -b
-        if v & pivot:
-            v ^= b
-    return v
+    return SpanTracker(n, found).basis_ints()
 
 
 class SpanTracker:
-    """Incremental GF(2) span: add vectors, query rank and membership."""
+    """Incremental GF(2) span: add vectors, query rank and membership.
 
-    def __init__(self, n: int):
+    Rows are kept in echelon form in insertion order: each row is zero on
+    the pivots of the rows before it.  The canonical RREF is built only
+    when basis_ints() asks for it.
+    """
+
+    def __init__(self, n: int, vectors: Iterable[int] = ()):
         _check_dim(n)
         self.n = n
-        self._pivots: list[int] = []
+        self._rows: list[int] = []
+        for v in vectors:
+            self.add(v)
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
-
-    def reduce(self, bits: int) -> int:
-        for p in self._pivots:
-            low = p & -p
-            if bits & low:
-                bits ^= p
-        return bits
+        return len(self._rows)
 
     def contains(self, bits: int) -> bool:
-        return self.reduce(bits) == 0
+        return _reduce(bits, self._rows) == 0
 
     def add(self, bits: int) -> bool:
         """Insert a vector; True when it enlarged the span."""
-        red = self.reduce(bits)
-        if red == 0:
-            return False
-        # red is zero on every existing pivot column, so its lowest set bit is
-        # a new pivot; clearing that column from the other rows keeps them
-        # reduced without moving their pivots
-        low = red & -red
-        pivots = self._pivots
-        for i, p in enumerate(pivots):
-            if p & low:
-                pivots[i] = p ^ red
-        pivots.insert(sum(1 for p in pivots if (p & -p) < low), red)
-        return True
+        red = _reduce(bits, self._rows)
+        if red:
+            self._rows.append(red)
+        return red != 0
 
     def basis_ints(self) -> list[int]:
-        return list(self._pivots)
+        """Canonical RREF: pivots ascending, each pivot column clear in every other row."""
+        rows = list(self._rows)
+        # back-substitute from the last row: a row already cleared of every
+        # later pivot carries no pivot bit but its own into the rows before it
+        for j in range(len(rows) - 1, 0, -1):
+            p = rows[j]
+            low = p & -p
+            for i in range(j):
+                if rows[i] & low:
+                    rows[i] ^= p
+        return sorted(rows, key=lambda p: p & -p)
 
 
 @dataclass(frozen=True)
@@ -230,7 +200,7 @@ class Subspace:
 
     def __post_init__(self) -> None:
         ints = self.basis.row_ints()
-        if _rref_ints(ints, self.basis.n) != ints:
+        if SpanTracker(self.basis.n, ints).basis_ints() != ints:
             raise ValueError("subspace basis must be in reduced row echelon form")
 
     @property
@@ -244,7 +214,7 @@ class Subspace:
     def contains(self, v: BitVector) -> bool:
         if v.n != self.n:
             raise ValueError("dimension mismatch")
-        return _reduce_by_rref(v.bits, self.basis.row_ints()) == 0
+        return _reduce(v.bits, self.basis.row_ints()) == 0
 
     def member_ints(self) -> np.ndarray:
         """All 2**dim member words as a sorted numpy array."""
@@ -272,18 +242,18 @@ def span_of(n: int, vectors: Iterable[BitVector | int]) -> Subspace:
             ints.append(v.bits)
         else:
             ints.append(int(v))
-    return Subspace(BitMatrix.from_ints(n, _rref_ints(ints, n)))
+    return Subspace(BitMatrix.from_ints(n, SpanTracker(n, ints).basis_ints()))
 
 
 def rank(m: BitMatrix) -> int:
     """GF(2) rank of the matrix rows."""
-    return _rank_ints(m.row_ints())
+    return SpanTracker(m.n, m.row_ints()).dim
 
 
 def null_space_basis(m: BitMatrix) -> Subspace:
     """Canonical basis of {s : every row r has r . s = 0}; dim = n - rank."""
     n = m.n
-    rref = _rref_ints(m.row_ints(), n)
+    rref = SpanTracker(n, m.row_ints()).basis_ints()
     pivot_cols = [(r & -r).bit_length() - 1 for r in rref]
     pivot_set = set(pivot_cols)
     vectors = []
@@ -295,7 +265,7 @@ def null_space_basis(m: BitMatrix) -> Subspace:
             if (prow >> col) & 1:
                 v |= 1 << pcol
         vectors.append(v)
-    return Subspace(BitMatrix.from_ints(n, _rref_ints(vectors, n)))
+    return Subspace(BitMatrix.from_ints(n, SpanTracker(n, vectors).basis_ints()))
 
 
 def span_equal(a: Subspace, b: Subspace) -> bool:

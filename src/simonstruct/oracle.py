@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boolfn import DEFAULT_N_CAP, MultiTruthTable, TruthTable, _check_cap, autocorr_values
-from .gf2 import BitMatrix, BitVector, Subspace, _rref_ints
+from .gf2 import BitVector, Subspace, span_of
 from .rng import as_rng
 from .walsh import xor_permute
 
@@ -106,7 +106,7 @@ def _subspace_from_members(members: np.ndarray, n: int) -> Subspace:
     if count == 0 or members[0] != 0 or count & (count - 1):
         raise RuntimeError("structure set is not closed under xor")
     picks = [int(members[1 << j]) for j in range(count.bit_length() - 1)]
-    subspace = Subspace(BitMatrix.from_ints(n, _rref_ints(picks, n)))
+    subspace = span_of(n, picks)
     if not np.array_equal(subspace.member_ints(), members):
         raise RuntimeError("structure set is not closed under xor")
     return subspace

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf2 import _rank_ints
+from .gf2 import SpanTracker
 from .rng import as_rng
 
 # brute-force composition enumeration blows up past these
@@ -221,6 +221,6 @@ def rank_success_rate(
     draws = rng.integers(0, 1 << n, size=(trials, k), dtype=np.int64)
     hits = 0
     for row in draws:
-        if _rank_ints(int(v) for v in row) == n:
+        if SpanTracker(n, row.tolist()).dim == n:
             hits += 1
     return hits / trials

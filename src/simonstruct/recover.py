@@ -90,8 +90,8 @@ class PeriodReport:
 
 
 def _independent_anchors(n: int, count: int, rng) -> list[BitVector]:
-    if count > n:
-        raise ValueError("cannot draw more independent anchors than the dimension")
+    if not 0 <= count <= n:
+        raise ValueError(f"cannot draw {count} independent anchors at n={n}")
     tracker = SpanTracker(n)
     anchors: list[BitVector] = []
     while len(anchors) < count:

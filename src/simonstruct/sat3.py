@@ -172,17 +172,30 @@ def _cnf_ok(cnf: Cnf3, words: np.ndarray) -> np.ndarray:
     return ok
 
 
-def solve_brute(system: ProductEquationSystem) -> BitVector | None:
-    """First shift (ascending integer order) zeroing every product, if any."""
-    if system.n > SOLVE_N_CAP:
-        raise ValueError(f"brute solve capped at n <= {SOLVE_N_CAP}")
-    size = 1 << system.n
+def _first_hit(ok, problem) -> BitVector | None:
+    """Smallest word w in [0, 2**n) with ok(problem, w), scanned a chunk at a time."""
+    n = problem.n
+    if n > SOLVE_N_CAP:
+        raise ValueError(f"brute-force scan capped at n <= {SOLVE_N_CAP}")
+    size = 1 << n
     for start in range(0, size, _CHUNK):
         words = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-        hits = np.flatnonzero(_system_ok(system, words))
+        hits = np.flatnonzero(ok(problem, words))
         if hits.size:
-            return BitVector(system.n, int(words[hits[0]]))
+            return BitVector(n, int(words[hits[0]]))
     return None
+
+
+def _full_mask(ok, problem) -> np.ndarray:
+    """ok(problem, w) for every w in [0, 2**n) as one array."""
+    if problem.n > MASK_N_CAP:
+        raise ValueError(f"mask capped at n <= {MASK_N_CAP}")
+    return ok(problem, np.arange(1 << problem.n, dtype=np.int64))
+
+
+def solve_brute(system: ProductEquationSystem) -> BitVector | None:
+    """First shift (ascending integer order) zeroing every product, if any."""
+    return _first_hit(_system_ok, system)
 
 
 def cnf_satisfiable(cnf: Cnf3) -> BitVector | None:
@@ -190,29 +203,17 @@ def cnf_satisfiable(cnf: Cnf3) -> BitVector | None:
 
     Independent of the reduction route; exists to validate it.
     """
-    if cnf.n > SOLVE_N_CAP:
-        raise ValueError(f"direct check capped at n <= {SOLVE_N_CAP}")
-    size = 1 << cnf.n
-    for start in range(0, size, _CHUNK):
-        words = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-        hits = np.flatnonzero(_cnf_ok(cnf, words))
-        if hits.size:
-            return BitVector(cnf.n, int(words[hits[0]]))
-    return None
+    return _first_hit(_cnf_ok, cnf)
 
 
 def cnf_mask(cnf: Cnf3) -> np.ndarray:
     """Satisfaction mask over all 2**n assignments."""
-    if cnf.n > MASK_N_CAP:
-        raise ValueError(f"mask capped at n <= {MASK_N_CAP}")
-    return _cnf_ok(cnf, np.arange(1 << cnf.n, dtype=np.int64))
+    return _full_mask(_cnf_ok, cnf)
 
 
 def system_mask(system: ProductEquationSystem) -> np.ndarray:
     """Solution mask over all 2**n shifts."""
-    if system.n > MASK_N_CAP:
-        raise ValueError(f"mask capped at n <= {MASK_N_CAP}")
-    return _system_ok(system, np.arange(1 << system.n, dtype=np.int64))
+    return _full_mask(_system_ok, system)
 
 
 def equisat_check(cnf: Cnf3) -> bool:

@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import DEFAULT_N_CAP, MultiTruthTable, TruthTable
-from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rank_ints, _rref_array, null_space_basis
+from .boolfn import MultiTruthTable, TruthTable
+from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rref_array, null_space_basis
 from .rng import as_rng
 from .walsh import parity, walsh_hadamard
 
@@ -67,7 +67,7 @@ class SpanLaw:
         # a proper subspace holds at most 2**(n-1) words, and a strided probe
         # of about 4n survivors usually reaches rank n when S is wide
         probe = offsets[:: max(1, size // (4 * n))]
-        if 2 * size > 1 << n or _rank_ints(probe.tolist()) == n:
+        if 2 * size > 1 << n or SpanTracker(n, probe.tolist()).dim == n:
             basis = [1 << j for j in range(n)]
         else:
             basis = _rref_array(offsets, n)
@@ -253,13 +253,7 @@ def simon_round(F: MultiTruthTable, seed=None) -> BitVector:
     return sample_y(collapse(F, (), rng), rng)
 
 
-def quantum_solve(
-    ys: BitMatrix,
-    seed=None,
-    samples: int | None = None,
-    direct: bool = False,
-    cap: int = DEFAULT_N_CAP,
-) -> Subspace:
+def quantum_solve(ys: BitMatrix, seed=None, samples: int | None = None) -> Subspace:
     """Span of repeated uniform draws from {z : y . z = 0 for every y}.
 
     Mimics solving the linear system by sampling the solution set instead
@@ -267,10 +261,6 @@ def quantum_solve(
     accumulate until their span can no longer grow or the sample budget is
     spent.  With rank r and d = n - r, all of the null space is spanned
     after d + t draws except with probability about 2**-t.
-
-    direct=True rescans all 2**n words for the orthogonality condition and
-    draws from that explicit support; it is a cross-check path and costs
-    O(rows * 2**n) once.
     """
     n = ys.n
     if samples is None:
@@ -278,31 +268,16 @@ def quantum_solve(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = as_rng(seed)
-    target = null_space_basis(ys)
+    basis = null_space_basis(ys).basis.row_ints()
+    d = len(basis)
     tracker = SpanTracker(n)
-    if direct:
-        if n > cap:
-            raise ValueError(f"dimension {n} exceeds table cap {cap} for direct sampling")
-        words = np.arange(1 << n, dtype=np.int64)
-        keep = np.ones(1 << n, dtype=bool)
-        for row in ys.row_ints():
-            keep &= parity(words & row) == 0
-        support = words[keep]
-        for _ in range(samples):
-            z = int(support[rng.integers(0, len(support))])
-            tracker.add(z)
-            if tracker.dim == target.dim:
-                break
-    else:
-        basis = target.basis.row_ints()
-        d = len(basis)
-        for _ in range(samples):
-            coeff = int(rng.integers(0, 1 << d)) if d else 0
-            z = 0
-            for j in range(d):
-                if (coeff >> j) & 1:
-                    z ^= basis[j]
-            tracker.add(z)
-            if tracker.dim == d:
-                break
+    for _ in range(samples):
+        coeff = int(rng.integers(0, 1 << d)) if d else 0
+        z = 0
+        for j in range(d):
+            if (coeff >> j) & 1:
+                z ^= basis[j]
+        tracker.add(z)
+        if tracker.dim == d:
+            break
     return Subspace(BitMatrix.from_ints(n, tracker.basis_ints()))

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .boolfn import Anf, DEFAULT_N_CAP, _check_cap, _mono_index
+from .boolfn import Anf, DEFAULT_N_CAP, _check_cap, _evaluate_monomials, _mono_index
 from .gf2 import BitVector
 from .walsh import mobius_transform
 
@@ -44,12 +44,7 @@ class SymbolicCondition:
     monomials: frozenset[frozenset[int]]
 
     def evaluate(self, s: BitVector | int) -> int:
-        bits = s.bits if isinstance(s, BitVector) else int(s)
-        acc = 0
-        for mono in self.monomials:
-            if all((bits >> (v - 1)) & 1 for v in mono):
-                acc ^= 1
-        return acc
+        return _evaluate_monomials(self.monomials, s)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,23 @@ def naive_rank(rows) -> int:
     return rank
 
 
+def rref_def(rows, n: int) -> list[int]:
+    """Textbook Gauss-Jordan RREF: columns scanned from x_1 up, pivot rows
+    ascending, every pivot column cleared in all other rows, zero rows dropped."""
+    work = [int(r) for r in rows]
+    row = 0
+    for col in range(n):
+        sel = next((r for r in range(row, len(work)) if (work[r] >> col) & 1), None)
+        if sel is None:
+            continue
+        work[row], work[sel] = work[sel], work[row]
+        for r in range(len(work)):
+            if r != row and (work[r] >> col) & 1:
+                work[r] ^= work[row]
+        row += 1
+    return work[:row]
+
+
 def span_set(vectors) -> set[int]:
     """All XOR combinations of the given words, by breadth-first closure."""
     out = {0}

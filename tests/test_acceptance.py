@@ -436,7 +436,7 @@ CLI_SUITE = [
     ["find", "--f", "f.tt", "--mode", "iterative"],
     ["find", "--f", "F.mtt", "--mode", "periods", "--oracle-check"],
     ["sample", "--f", "f.tt", "--anchors", "random:4", "--rounds", "6", "--trace", "t.jsonl"],
-    ["oracle", "--f", "g.tt", "--scan-r", "8", "--format", "csv"],
+    ["oracle", "--f", "g.tt", "--format", "csv"],
     ["oracle", "--f", "f.tt"],
     ["prob", "--n", "4", "--kmax", "16", "--format", "csv"],
     ["anf", "--anf", "x1*x2*x3 + x2*x4", "--classify", "--system", "--check-s", "0101"],

@@ -160,6 +160,30 @@ def test_flags_are_refused_where_they_are_not_read(workdir):
     assert run_cli("bench", "--n-min", "8", "--n-max", "8", "--format", "json").returncode == 2
     assert run_cli("prob", "--n", "2", "--n-cap", "4").returncode == 2
     assert run_cli("prob", "--n", "2", "--csv", str(workdir / "p.csv")).returncode == 2
+    # the CSV's violations column already covers every shift
+    assert run_cli("oracle", "--f", str(workdir / "f.tt"), "--scan-r", "2", "--format", "csv").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["sample", "--anchors", "random:-3"], "-3"),
+        (["sample", "--rounds", "0"], "--rounds"),
+        (["sample", "--rounds", "-2"], "--rounds"),
+        (["bench", "--n-min", "4", "--n-max", "4", "--repeat", "0"], "--repeat"),
+        (["sat3", "--verify-theorem4", "1", "--trials", "-1"], "--trials"),
+        (["sat3", "--verify-theorem4", "1", "--trials", "0"], "--trials"),
+        (["sat3", "--verify-theorem4", "2a", "--k", "13"], "12"),
+    ],
+    ids=["anchors-neg", "rounds-0", "rounds-neg", "repeat-0", "trials-neg", "trials-0", "k-13"],
+)
+def test_bad_counts_exit_2_with_a_message(workdir, capsys, argv, limit):
+    if argv[0] == "sample":
+        argv = [*argv, "--f", str(workdir / "f.tt")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and limit in err
 
 
 def test_non_ascii_table_exits_with_usage_error(tmp_path, capsys):

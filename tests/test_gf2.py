@@ -8,7 +8,6 @@ from simonstruct.gf2 import (
     BitVector,
     SpanTracker,
     Subspace,
-    _rref_ints,
     in_span,
     null_space_basis,
     rank,
@@ -16,7 +15,7 @@ from simonstruct.gf2 import (
     span_of,
 )
 
-from _oracles import naive_rank, popcount, span_set
+from _oracles import naive_rank, popcount, rref_def, span_set
 
 
 def test_bitvector_string_round_trip():
@@ -69,9 +68,9 @@ def test_rref_is_canonical_and_span_preserving():
     for _ in range(60):
         n = int(rng.integers(1, 9))
         rows = [int(r) for r in rng.integers(0, 1 << n, size=rng.integers(0, 6))]
-        rref = _rref_ints(rows, n)
+        rref = span_of(n, rows).basis.row_ints()
         assert span_set(rref) == span_set(rows)
-        assert _rref_ints(rref, n) == rref
+        assert span_of(n, rref).basis.row_ints() == rref
         # each pivot column appears in exactly one row
         for row in rref:
             pivot = row & -row
@@ -149,7 +148,7 @@ def test_span_tracker_against_closure():
 
 
 def test_span_tracker_basis_is_the_rref_of_its_inserts():
-    # insert-time pivot clearing must give exactly the canonical RREF
+    # echelon rows turned into RREF on demand must give exactly the canonical RREF
     rng = np.random.default_rng(6)
     for trial in range(300):
         n = int(rng.integers(1, 25))
@@ -163,7 +162,7 @@ def test_span_tracker_basis_is_the_rref_of_its_inserts():
                 v &= int(rng.integers(0, 1 << n)) & int(rng.integers(0, 1 << n))
             inserted.append(v)
             tracker.add(v)
-            assert tracker.basis_ints() == _rref_ints(inserted, n)
+            assert tracker.basis_ints() == rref_def(inserted, n)
 
 
 def test_empty_span_edge_cases():

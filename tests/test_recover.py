@@ -122,8 +122,9 @@ def test_independent_anchors_have_full_rank():
         anchors = _independent_anchors(n, count, rng)
         assert len(anchors) == count
         assert naive_rank([a.bits for a in anchors]) == count
-    with pytest.raises(ValueError):
-        _independent_anchors(4, 5, rng)
+    for count in (5, -3):
+        with pytest.raises(ValueError):
+            _independent_anchors(4, count, rng)
 
 
 def test_same_seed_same_report():

@@ -153,16 +153,6 @@ def test_quantum_solve_matches_null_space():
         assert span_equal(got, null_space_basis(ys))
 
 
-def test_quantum_solve_direct_path_agrees():
-    rng = np.random.default_rng(48)
-    for trial in range(10):
-        n = int(rng.integers(2, 9))
-        ys = BitMatrix.from_ints(n, [int(v) for v in rng.integers(0, 1 << n, size=3)])
-        a = quantum_solve(ys, seed=trial)
-        b = quantum_solve(ys, seed=trial, direct=True)
-        assert span_equal(a, b)
-
-
 def test_quantum_solve_small_budget_stays_inside():
     rng = np.random.default_rng(49)
     ys = BitMatrix.from_ints(10, [int(v) for v in rng.integers(0, 1 << 10, size=2)])
