@@ -14,7 +14,7 @@ import numpy as np
 
 from .gf2 import BitVector, Subspace, _check_dim
 from .rng import as_rng
-from .walsh import mobius_transform, walsh_hadamard, xor_permute
+from .walsh import EXACT_FLOAT_BOUND, factored, mobius_transform, xor_permute
 
 __all__ = [
     "TruthTable",
@@ -233,18 +233,23 @@ def _coset_index(n: int, basis: Subspace) -> tuple[np.ndarray, int]:
 def autocorr_values(table: np.ndarray) -> np.ndarray:
     """Exact int64 autocorrelation of 0/1 tables along the last axis.
 
-    Entry a is sum_x (-1)^(f(x) ^ f(x ^ a)): transform the +-1 signs,
-    square in place, transform back and shift right by n.  Parseval bounds
-    every partial sum of the second transform by 2**(2n), so int64 is exact
-    for every table under the cap.
+    Entry a is sum_x (-1)^(f(x) ^ f(x ^ a)): transform the +-1 signs in
+    float64, square in place, transform back and divide by 2**n into the
+    free buffer as int64.  By Parseval the squares sum to 4**n, so every
+    partial sum is an integer below 2**53 for n <= 26, hence exact.
     """
     table = np.asarray(table)
-    n = table.shape[-1].bit_length() - 1
-    spectrum = walsh_hadamard(1 - 2 * table.astype(np.int64))
+    size = table.shape[-1]
+    if size * size >= EXACT_FLOAT_BOUND:
+        raise ValueError(f"autocorrelation of {size} entries passes the float64 exact bound 2**53")
+    signs = np.multiply(table, -2.0, dtype=np.float64)
+    signs += 1.0
+    spectrum, spare = factored(signs, np.empty_like(signs))
     spectrum *= spectrum
-    spectrum = walsh_hadamard(spectrum)
-    spectrum >>= n
-    return spectrum
+    spectrum, spare = factored(spectrum, spare)
+    out = spare.view(np.int64)
+    np.multiply(spectrum, 1.0 / size, out=out, casting="unsafe")
+    return out
 
 
 def _zero_structure_count(table: np.ndarray) -> int:

@@ -88,7 +88,7 @@ class VerifyResult:
 def autocorrelation(f: TruthTable, cap: int = DEFAULT_N_CAP) -> AutocorrSpectrum:
     """Autocorrelation spectrum in O(n * 2**n) via two transforms.
 
-    Computed by :func:`boolfn.autocorr_values` in exact integer arithmetic.
+    Computed exactly by :func:`boolfn.autocorr_values`, one float64 kernel.
     """
     _check_cap(f.n, cap)
     return AutocorrSpectrum(f.n, autocorr_values(f.table))

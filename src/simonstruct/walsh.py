@@ -1,14 +1,23 @@
-"""Butterfly transforms over tables of length 2**n.
+"""Walsh-Hadamard and Moebius transforms along the last axis of 2**n tables.
 
-Both transforms run in O(n * 2**n) and operate on the last axis, so a
-2-D array is treated as a batch of independent tables.
+Both are Kronecker powers of a 2x2 block, applied as ceil(n/5) factors of at
+most 5 bits, each one float64 matrix product over the table into the other
+of two buffers.  Block entries are in {-1, 0, 1}, so every partial sum, in
+whatever order BLAS adds, is an integer of size at most sum |x| over the
+row: the result is exact below 2**53.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["walsh_hadamard", "mobius_transform", "xor_permute", "parity"]
+
+EXACT_FLOAT_BOUND = 1 << 53
+HADAMARD = ((1.0, 1.0), (1.0, -1.0))
+_ZETA = ((1.0, 0.0), (1.0, 1.0))
 
 
 def _check_power_of_two(size: int) -> None:
@@ -16,47 +25,62 @@ def _check_power_of_two(size: int) -> None:
         raise ValueError(f"table length {size} is not a power of two")
 
 
-def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis.
+def _factor_bits(n: int) -> tuple[int, ...]:
+    """n as ceil(n/5) parts of at most 5 bits that differ by at most 1 (23 ->
+    5,5,5,4,4): a 1-bit part, a (2 x 2) by (2 x 2**(n-1)) product, stalls BLAS."""
+    count = -(-n // 5)
+    return tuple(n // count + (i < n % count) for i in range(count))
 
-    Self-inverse up to a factor of 2**n.  Input is converted to int64;
-    intermediate values stay within int64 for n <= 24 tables of +-1 or
-    of squared coefficients.
+
+@functools.cache
+def _block(base: tuple, k: int) -> np.ndarray:
+    out = functools.reduce(np.kron, [np.array(base)] * k, np.ones((1, 1)))
+    out.flags.writeable = False
+    return out
+
+
+def factored(src: np.ndarray, spare: np.ndarray, base: tuple = HADAMARD):
+    """Apply base^(x n) to float64 rows of 2**n; the caller bounds the sums.
+
+    A k-bit factor reads the low k index bits and writes them as the high
+    ones, so after n bits the order is the input's.  Returns (result, free
+    buffer): `src` and `spare` in some order.
     """
-    arr = np.array(values, dtype=np.int64)
-    size = arr.shape[-1]
+    *lead, size = src.shape
     _check_power_of_two(size)
-    shape = arr.shape
-    flat = arr.reshape(-1, size)
-    h = 1
-    while h < size:
-        flat = flat.reshape(-1, 2, h)
-        top = flat[:, 0, :].copy()
-        flat[:, 0, :] += flat[:, 1, :]
-        flat[:, 1, :] = top - flat[:, 1, :]
-        flat = flat.reshape(-1, size)
-        h *= 2
-    return flat.reshape(shape)
+    for k in _factor_bits(size.bit_length() - 1):
+        rows = src.reshape(*lead, size >> k, 1 << k).swapaxes(-1, -2)
+        np.matmul(_block(base, k), rows, out=spare.reshape(*lead, 1 << k, size >> k))
+        src, spare = spare, src
+    return src, spare
+
+
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis, as int64.
+
+    Self-inverse up to a factor of 2**n; the input is left unmodified.
+    Raises ValueError unless sum |x| over every row is below 2**53.
+    """
+    src = np.asarray(values, dtype=np.int64).astype(np.float64)
+    spare = np.empty_like(src)
+    # a float sum of integer magnitudes is exact below 2**53 and cannot round below it
+    if (np.add.reduce(np.abs(src, out=spare), axis=-1) >= EXACT_FLOAT_BOUND).any():
+        raise ValueError("sum |x| of a row reaches 2**53: float64 transform not exact")
+    src, spare = factored(src, spare)
+    out = spare.view(np.int64)
+    np.copyto(out, src, casting="unsafe")
+    return out
 
 
 def mobius_transform(values: np.ndarray) -> np.ndarray:
-    """Binary Moebius transform (GF(2) zeta butterfly) along the last axis.
+    """Binary Moebius transform of 0/1 tables along the last axis, as uint8.
 
     Maps a truth table to its algebraic-normal-form coefficient table and
-    back: the transform is its own inverse.
+    back (an involution).  Entry m counts the ones at subsets of m, at most
+    2**n, so reducing mod 2 once at the end is exact.  Input is unmodified.
     """
-    arr = np.array(values, dtype=np.uint8)
-    size = arr.shape[-1]
-    _check_power_of_two(size)
-    shape = arr.shape
-    flat = arr.reshape(-1, size)
-    h = 1
-    while h < size:
-        flat = flat.reshape(-1, 2, h)
-        flat[:, 1, :] ^= flat[:, 0, :]
-        flat = flat.reshape(-1, size)
-        h *= 2
-    return flat.reshape(shape)
+    src = np.asarray(values, dtype=np.uint8).astype(np.float64)
+    return (factored(src, np.empty_like(src), _ZETA)[0] % 2).astype(np.uint8)
 
 
 def xor_permute(table: np.ndarray, shift: int) -> np.ndarray:

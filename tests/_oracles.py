@@ -27,6 +27,23 @@ def slow_walsh(values) -> np.ndarray:
     return out
 
 
+def butterfly_def(values) -> np.ndarray:
+    """Radix-2 int64 Walsh-Hadamard butterfly along the last axis, one stage
+    per bit: the package's transform before the factored float64 kernel."""
+    arr = np.array(values, dtype=np.int64)
+    size = arr.shape[-1]
+    flat = arr.reshape(-1, size)
+    h = 1
+    while h < size:
+        flat = flat.reshape(-1, 2, h)
+        top = flat[:, 0, :].copy()
+        flat[:, 0, :] += flat[:, 1, :]
+        flat[:, 1, :] = top - flat[:, 1, :]
+        flat = flat.reshape(-1, size)
+        h *= 2
+    return flat.reshape(arr.shape)
+
+
 def slow_mobius(values) -> np.ndarray:
     """Subset-XOR accumulation: out[m] = xor of values[x] over x subset of m."""
     arr = np.asarray(values, dtype=np.uint8)
