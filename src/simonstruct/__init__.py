@@ -85,7 +85,6 @@ from .sat3 import (
 )
 from .simulate import (
     CollapseOutcome,
-    YDistribution,
     collapse,
     quantum_solve,
     sample_y,

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import BitVector, Subspace, _check_dim
+from .gf2 import MAX_DIMENSION, BitVector, Subspace, _check_dim
 from .rng import as_rng
 from .walsh import EXACT_FLOAT_BOUND, factored, mobius_transform, xor_permute
 
@@ -38,8 +38,8 @@ __all__ = [
     "PLANT_RETRY_CAP",
 ]
 
-# Tables take 2**n entries; desk-scale default cap, overridable per call site.
-DEFAULT_N_CAP = 24
+# Tables take 2**n entries; call sites may pass a lower cap, never a higher one.
+DEFAULT_N_CAP = MAX_DIMENSION
 PLANT_RETRY_CAP = 64
 
 

@@ -53,7 +53,7 @@ from .recover import (
 )
 from .rng import DEFAULT_SEED, as_rng
 from .sat3 import parse_dimacs, reduce_cnf, solve_brute, theorem4_verify
-from .simulate import collapse, sample_y
+from .simulate import collapse
 from .symbolic import classify_top, derivative_anf, theorem2_system
 
 _SCHEMA = "1"
@@ -165,11 +165,18 @@ def cmd_sample(args) -> int:
             raise ValueError("anchor dimension does not match the table")
     ys = []
     trace_rows = []
-    memo: dict = {}
+    # f and the anchors are fixed here, so the observed word determines S and
+    # its law.  A law is kept only when 2**r <= 4|S|: the sets S of distinct
+    # words are disjoint, so the kept tables hold at most 4 * 2**n entries.
+    laws: dict = {}
     for rnd in range(args.rounds):
-        outcome = collapse(f, anchors, rng, memo)
-        y = sample_y(outcome, rng)
-        ys.append(str(y))
+        outcome = collapse(f, anchors, rng)
+        law = laws.get(outcome.observed)
+        if law is None:
+            law = outcome.weights()
+            if 1 << law.r <= 4 * outcome.size:
+                laws[outcome.observed] = law
+        ys.append(str(BitVector(f.n, law.draw(rng))))
         trace_rows.append(
             json.dumps(
                 {
@@ -334,6 +341,8 @@ _THEOREM4_N_MAX = 12
 def cmd_sat3(args) -> int:
     if not (args.reduce or args.solve or args.verify_theorem4):
         raise ValueError("pick at least one of --reduce, --solve, --verify-theorem4")
+    if args.k is not None and not args.verify_theorem4:
+        raise ValueError("--k only restricts --verify-theorem4")
 
     doc: dict = {"schema": _SCHEMA}
     failed = False

@@ -25,8 +25,9 @@ __all__ = [
     "MAX_DIMENSION",
 ]
 
-# Vectors above 64 coordinates are out of scope for the packed representation.
-MAX_DIMENSION = 64
+# The package checks every answer against a full 2**n truth table, so n = 24
+# is its cap for vectors, tables and polynomials alike.
+MAX_DIMENSION = 24
 
 
 def _check_dim(n: int) -> None:

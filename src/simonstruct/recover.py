@@ -101,58 +101,55 @@ def _independent_anchors(n: int, count: int, rng) -> list[BitVector]:
     return anchors
 
 
-def _sampling_pass(draw_y, n: int, res: RunConfig) -> tuple[list[BitVector], bool, int]:
-    """Collect ys until the rank stalls for rank_window rounds or the cap hits.
+def _sampling_pass(
+    f: TruthTable | MultiTruthTable, anchors, res: RunConfig, rng
+) -> tuple[BitMatrix, Subspace, bool]:
+    """Collapse f at the anchors and draw one y per round, until the rank
+    stalls for rank_window rounds or the cap hits.
 
-    Returns (ys, stabilized, rounds).  stabilized is False only when the cap
-    ended the pass while the last round still grew the rank recently.
+    Returns (ys, their null space, stabilized).  stabilized is False only
+    when the cap ended the pass while the last round still grew the rank
+    recently.
     """
+    n = f.n
     tracker = SpanTracker(n)
     ys: list[BitVector] = []
     stall = 0
-    rounds = 0
-    stabilized = False
-    while rounds < res.rounds_cap:
-        y = draw_y()
-        rounds += 1
+    while len(ys) < res.rounds_cap and tracker.dim < n and stall < res.rank_window:
+        y = sample_y(collapse(f, anchors, rng), rng)
         ys.append(y)
         if tracker.add(y.bits):
             stall = 0
         else:
             stall += 1
-        if tracker.dim == n or stall >= res.rank_window:
-            stabilized = True
-            break
-    return ys, stabilized, rounds
+    mat = BitMatrix(n, tuple(ys))
+    return mat, null_space_basis(mat), tracker.dim == n or stall >= res.rank_window
 
 
 def find_periods(F: MultiTruthTable, cfg: RunConfig | None = None) -> PeriodReport:
     """Recover the period span of a multi-output function by sampling."""
     cfg = cfg or RunConfig()
-    res = cfg.resolved(F.n)
-    rng = as_rng(cfg.seed)
-
-    def draw():
-        return sample_y(collapse(F, (), rng), rng)
-
-    ys, stabilized, rounds = _sampling_pass(draw, F.n, res)
-    span = null_space_basis(BitMatrix(F.n, tuple(ys)))
-    return PeriodReport(span, rounds, stabilized, BitMatrix(F.n, tuple(ys)))
+    ys, span, stabilized = _sampling_pass(F, (), cfg.resolved(F.n), as_rng(cfg.seed))
+    return PeriodReport(span, len(ys.rows), stabilized, ys)
 
 
-def _verdict(
+def _report(
     f: TruthTable,
     candidate: Subspace,
+    ys: BitMatrix,
+    rounds: int,
+    stabilized: bool,
     res: RunConfig,
     rng,
     oracle_check: bool,
-) -> tuple[bool, bool, tuple | None]:
+) -> StructureReport:
+    """Verify the candidate against f by probing; with oracle_check, flag a
+    verified candidate that is not the true U0 as pseudo."""
     check: VerifyResult = sampled_verify(f, candidate.basis.rows, res.verify_p, rng)
-    pseudo = False
-    if oracle_check:
-        truth = brute_structures(f).u0
-        pseudo = bool(check) and not span_equal(candidate, truth)
-    return bool(check), pseudo, check.witness
+    pseudo = bool(oracle_check and check) and not span_equal(candidate, brute_structures(f).u0)
+    return StructureReport(
+        candidate, bool(check), rounds, ys, pseudo, stabilized, oracle_check, check.witness
+    )
 
 
 def find_structure_simple(
@@ -166,17 +163,8 @@ def find_structure_simple(
     res = cfg.resolved(n)
     rng = as_rng(cfg.seed)
     anchors = _independent_anchors(n, n, rng)
-
-    def draw():
-        return sample_y(collapse(f, anchors, rng), rng)
-
-    ys, stabilized, rounds = _sampling_pass(draw, n, res)
-    mat = BitMatrix(n, tuple(ys))
-    candidate = null_space_basis(mat)
-    verified, pseudo, witness = _verdict(f, candidate, res, rng, oracle_check)
-    return StructureReport(
-        candidate, verified, rounds, mat, pseudo, stabilized, oracle_check, witness
-    )
+    ys, candidate, stabilized = _sampling_pass(f, anchors, res, rng)
+    return _report(f, candidate, ys, len(ys.rows), stabilized, res, rng, oracle_check)
 
 
 def find_structure_iterative(
@@ -197,27 +185,16 @@ def find_structure_iterative(
     rng = as_rng(cfg.seed)
     spans: list[Subspace] = []
     all_rounds = 0
-    last_ys = BitMatrix(n, ())
     stabilized = False
-    passes = 0
-    while passes < res.rounds_cap:
-        count = n + passes * math.ceil(n / 2)
+    # resolved() keeps rounds_cap >= 1, so at least one pass runs
+    while len(spans) < res.rounds_cap:
+        count = n + len(spans) * math.ceil(n / 2)
         anchors = [BitVector(n, int(rng.integers(0, 1 << n))) for _ in range(count)]
-
-        def draw():
-            return sample_y(collapse(f, anchors, rng), rng)
-
-        ys, _, rounds = _sampling_pass(draw, n, res)
-        all_rounds += rounds
-        last_ys = BitMatrix(n, tuple(ys))
-        spans.append(null_space_basis(last_ys))
-        passes += 1
+        ys, span, _ = _sampling_pass(f, anchors, res, rng)
+        all_rounds += len(ys.rows)
+        spans.append(span)
         w = STABILIZE_WINDOW
         if len(spans) >= w and all(span_equal(spans[-1], s) for s in spans[-w:]):
             stabilized = True
             break
-    candidate = spans[-1]
-    verified, pseudo, witness = _verdict(f, candidate, res, rng, oracle_check)
-    return StructureReport(
-        candidate, verified, all_rounds, last_ys, pseudo, stabilized, oracle_check, witness
-    )
+    return _report(f, spans[-1], ys, all_rounds, stabilized, res, rng, oracle_check)

@@ -19,6 +19,9 @@ one round draws z from an r-bit integer law and then y uniformly among the
 2**(n-r) words with b_j . y = z_j.  All weights are integers summing to
 |S| * 2**r <= 2**48 (checked), so the support is exact and the cumulative
 table used for drawing never rounds.
+
+An outcome caches nothing: weights() builds the law on every call, and a
+caller that sees one word many times keeps its law, as `sample` does.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .walsh import parity, walsh_hadamard
 __all__ = [
     "CollapseOutcome",
     "SpanLaw",
-    "YDistribution",
     "collapse",
     "y_distribution",
     "sample_y",
@@ -126,83 +128,35 @@ class SpanLaw:
         return y
 
 
+@dataclass(frozen=True, eq=False)
 class CollapseOutcome:
-    """Post-measurement state: constraints, observed word, surviving inputs.
+    """Post-measurement state: the observed word and the surviving inputs S.
 
-    survivors is the sorted array of inputs in S.  memo, when given, maps
-    observed words to their SpanLaw; it must only be shared by outcomes of
-    the same function and anchors, for which the word determines S.  A law
-    is kept only when 2**r <= 4|S|: the sets S of distinct words are
-    disjoint, so the kept tables hold at most 4 * 2**n entries in all.
+    survivors is the sorted, read-only int64 array of inputs in S.
     """
 
-    __slots__ = ("n", "anchors", "observed", "survivors", "_mask", "_law", "_memo")
+    n: int
+    observed: tuple[int, ...]
+    survivors: np.ndarray
 
-    def __init__(
-        self,
-        n: int,
-        anchors: tuple[BitVector, ...],
-        observed: tuple[int, ...],
-        survivors: np.ndarray,
-        memo: dict | None = None,
-    ):
-        self.n = n
-        self.anchors = anchors
-        self.observed = observed
-        survivors = np.asarray(survivors, dtype=np.int64)
+    def __post_init__(self):
+        survivors = np.asarray(self.survivors, dtype=np.int64)
         survivors.flags.writeable = False
-        self.survivors = survivors
-        self._mask = None
-        self._law = None
-        self._memo = memo
+        object.__setattr__(self, "survivors", survivors)
 
     @property
     def size(self) -> int:
         return int(self.survivors.size)
 
-    @property
-    def mask(self) -> np.ndarray:
-        """Read-only 0/1 indicator of S over all 2**n inputs, built on first use."""
-        if self._mask is None:
-            mask = np.zeros(1 << self.n, dtype=np.uint8)
-            mask[self.survivors] = 1
-            mask.flags.writeable = False
-            self._mask = mask
-        return self._mask
-
-    def members(self) -> list[BitVector]:
-        return [BitVector(self.n, int(x)) for x in self.survivors]
-
     def weights(self) -> SpanLaw:
-        """Exact integer law of y, reduced to the span of S."""
-        if self._law is None:
-            memo = {} if self._memo is None else self._memo
-            law = memo.get(self.observed)
-            if law is None:
-                law = SpanLaw(self.n, self.survivors)
-                if 1 << law.r <= 4 * self.size:
-                    memo[self.observed] = law
-            self._law = law
-        return self._law
-
-
-@dataclass(frozen=True)
-class YDistribution:
-    """Exact output-law of one sampling round; probs indexed by packed y."""
-
-    n: int
-    probs: np.ndarray
-
-    def __getitem__(self, y: BitVector | int) -> float:
-        idx = y.bits if isinstance(y, BitVector) else int(y)
-        return float(self.probs[idx])
+        """Exact integer law of y, reduced to the span of S; built anew on each call."""
+        return SpanLaw(self.n, self.survivors)
 
 
 def collapse(
     f: TruthTable | MultiTruthTable,
     anchors: Sequence[BitVector],
     seed=None,
-    memo: dict | None = None,
 ) -> CollapseOutcome:
     """Measure the output register over offsets (0, a_1, ..., a_l).
 
@@ -212,9 +166,7 @@ def collapse(
     is implicit and always probed first.  Drawing the witness m uniformly
     reproduces the exact measurement statistics: an output word is seen
     with probability |S|/2**n and, given the word, the surviving set is S
-    itself.  Rounds that share f and the anchors may share one memo dict,
-    so a repeated word reuses its law; that pays when few words occur, as
-    with no anchors and a few output values.
+    itself.
     """
     anchors = tuple(anchors)
     for a in anchors:
@@ -231,15 +183,17 @@ def collapse(
         observed.append(value)
         # compress: several times faster than a boolean index on int64 here
         survivors = survivors.compress(table[survivors ^ a.bits] == value)
-    return CollapseOutcome(f.n, anchors, tuple(observed), survivors, memo)
+    return CollapseOutcome(f.n, tuple(observed), survivors)
 
 
-def y_distribution(outcome: CollapseOutcome) -> YDistribution:
-    """Exact law of y; probabilities sum to 1 up to float rounding."""
-    weights = outcome.weights().full_weights()
-    probs = weights / float(outcome.size << outcome.n)
+def y_distribution(outcome: CollapseOutcome) -> np.ndarray:
+    """Exact law of y as a read-only float64 array indexed by packed y.
+
+    The probabilities sum to 1 up to float rounding.
+    """
+    probs = outcome.weights().full_weights() / float(outcome.size << outcome.n)
     probs.flags.writeable = False
-    return YDistribution(outcome.n, probs)
+    return probs
 
 
 def sample_y(outcome: CollapseOutcome, seed=None) -> BitVector:

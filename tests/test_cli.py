@@ -3,12 +3,15 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from simonstruct import boolfn, cli, oracle
-from simonstruct.boolfn import parse_multi_truth_table, parse_truth_table
+from simonstruct import boolfn, cli, oracle, simulate
+from simonstruct.boolfn import TruthTable, parse_multi_truth_table, parse_truth_table
+from simonstruct.recover import _independent_anchors
+from simonstruct.simulate import collapse, sample_y
 
 
 def run_cli(*args, stdin=None):
@@ -124,6 +127,49 @@ def test_sample_anchor_file(workdir):
     assert len(r.stdout.splitlines()) == 3
 
 
+@pytest.mark.parametrize(
+    "anchors, junta, kept",
+    [("random:0", False, True), ("random:3", False, False), ("random:3", True, True)],
+    ids=["random:0", "random:3", "junta-random:3"],
+)
+def test_sample_law_memo_keeps_the_library_y_stream(
+    tmp_path, monkeypatch, capsys, anchors, junta, kept
+):
+    # n = 10.  On an unstructured table, no anchors give 2 words with S of
+    # about 512 inputs, so 2**r <= 4|S| and each law is built once; 3 anchors
+    # give 16 words with S of about 64 inputs spanning all of GF(2)**10, so
+    # each law is built again every round its word occurs.  A table reading
+    # only x_1..x_4 keeps every law, and its words share first values.
+    n, rounds, seed = 10, 400, 55
+    g = np.random.default_rng(54).integers(0, 2, size=1 << n)
+    f = TruthTable(n, g[np.arange(1 << n) & 15] if junta else g)
+    table, trace = tmp_path / "f.tt", tmp_path / "t.jsonl"
+    table.write_text(boolfn.format_truth_table(f))
+    rng = np.random.default_rng(seed)
+    lib_anchors = _independent_anchors(n, int(anchors.split(":")[1]), rng)
+    want = [str(sample_y(collapse(f, lib_anchors, rng), rng)) for _ in range(rounds)]
+
+    real = simulate.CollapseOutcome.weights
+    builds = {}
+
+    def counting(out):
+        law = real(out)
+        builds.setdefault(out.observed, []).append(1 << law.r <= 4 * out.size)
+        return law
+
+    monkeypatch.setattr(simulate.CollapseOutcome, "weights", counting)
+    argv = ["sample", "--f", str(table), "--anchors", anchors, "--rounds", str(rounds),
+            "--seed", str(seed), "--trace", str(trace)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == want
+    seen = Counter(tuple(json.loads(line)["observed"]) for line in trace.read_text().splitlines())
+    assert set(builds) == set(seen)
+    for word, small in builds.items():
+        assert len(set(small)) == 1
+        assert len(small) == (1 if small[0] else seen[word])
+    assert {small[0] for small in builds.values()} == {kept}
+
+
 def test_oracle_csv_lists_all_shifts(workdir):
     r = run_cli("oracle", "--f", str(workdir / "f.tt"), "--format", "csv")
     assert r.returncode == 0
@@ -162,6 +208,7 @@ def test_flags_are_refused_where_they_are_not_read(workdir):
     assert run_cli("prob", "--n", "2", "--csv", str(workdir / "p.csv")).returncode == 2
     # the CSV's violations column already covers every shift
     assert run_cli("oracle", "--f", str(workdir / "f.tt"), "--scan-r", "2", "--format", "csv").returncode == 2
+    assert run_cli("sat3", "--cnf", str(workdir / "demo.cnf"), "--reduce", "--k", "4").returncode == 2
 
 
 @pytest.mark.parametrize(
@@ -253,10 +300,13 @@ def test_anf_classify_system_and_check(workdir):
     assert check["in_u1"] is True
 
 
-def test_anf_rejects_bad_polynomial():
+def test_anf_rejects_bad_polynomial(capsys):
     r = run_cli("anf", "--anf", "x1 ** x2")
     assert r.returncode == 2
     assert "error:" in r.stderr
+    # x25 needs n = 25, above the dimension cap of 24
+    assert cli.main(["anf", "--anf", "x1*x25"]) == 2
+    assert "24" in capsys.readouterr().err
 
 
 def test_sat3_reduce_and_solve(workdir):

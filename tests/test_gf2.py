@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from simonstruct.boolfn import DEFAULT_N_CAP, Anf
 from simonstruct.gf2 import (
+    MAX_DIMENSION,
     BitMatrix,
     BitVector,
     SpanTracker,
@@ -51,6 +53,20 @@ def test_bitvector_validation():
         BitVector(2, 1) ^ BitVector(3, 1)
     with pytest.raises(ValueError):
         BitVector.from_string("10x")
+
+
+def test_dimension_cap_is_the_table_cap():
+    assert MAX_DIMENSION == DEFAULT_N_CAP == 24
+    top = (1 << 24) - 1
+    assert BitVector(24, top).weight == 24
+    assert SpanTracker(24, [top, 1 << 23]).dim == 2
+    assert Anf(24, frozenset({frozenset({1, 24})})).degree() == 2
+    with pytest.raises(ValueError):
+        BitVector(25, 0)
+    with pytest.raises(ValueError):
+        SpanTracker(25)
+    with pytest.raises(ValueError):
+        Anf(25)
 
 
 def test_bitmatrix_round_trips():

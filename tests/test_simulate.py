@@ -8,6 +8,7 @@ import pytest
 from simonstruct import simulate
 from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_periods, plant_structure
 from simonstruct.gf2 import BitMatrix, BitVector, null_space_basis, span_equal, span_of
+from simonstruct.rng import as_rng
 from simonstruct.simulate import (
     CollapseOutcome,
     collapse,
@@ -24,6 +25,13 @@ def random_table(n, rng):
     return TruthTable(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))
 
 
+def mask_of(out):
+    """0/1 indicator of S over all 2**n inputs."""
+    mask = np.zeros(1 << out.n, dtype=np.uint8)
+    mask[out.survivors] = 1
+    return mask
+
+
 def test_collapse_mask_is_the_consistent_set():
     rng = np.random.default_rng(40)
     for trial in range(20):
@@ -34,13 +42,13 @@ def test_collapse_mask_is_the_consistent_set():
         out = collapse(f, anchors, seed=trial)
         assert len(out.observed) == k + 1
         offsets = [0] + [a.bits for a in anchors]
-        for x in range(1 << n):
-            consistent = all(
-                f(x ^ off) == val for off, val in zip(offsets, out.observed)
-            )
-            assert bool(out.mask[x]) == consistent
-        assert out.size == int(out.mask.sum()) >= 1
-        assert [m.bits for m in out.members()] == list(np.nonzero(out.mask)[0])
+        consistent = [
+            x for x in range(1 << n)
+            if all(f(x ^ off) == val for off, val in zip(offsets, out.observed))
+        ]
+        assert out.survivors.tolist() == consistent
+        assert out.size == len(consistent) >= 1
+        assert out.survivors.dtype == np.int64 and not out.survivors.flags.writeable
 
 
 def test_collapse_set_is_a_union_of_structure_cosets():
@@ -50,10 +58,10 @@ def test_collapse_set_is_a_union_of_structure_cosets():
         basis = span_of(n, [int(v) for v in rng.integers(1, 1 << n, size=2)])
         f = plant_structure(PlantSpec(n, basis, seed=trial))
         anchors = [BitVector(n, int(v)) for v in rng.integers(0, 1 << n, size=3)]
-        out = collapse(f, anchors, seed=trial)
+        mask = mask_of(collapse(f, anchors, seed=trial))
         for s in span_set(basis.basis.row_ints()):
             for x in range(1 << n):
-                assert out.mask[x] == out.mask[x ^ s]
+                assert mask[x] == mask[x ^ s]
 
 
 def test_y_distribution_matches_direct_transform():
@@ -64,11 +72,12 @@ def test_y_distribution_matches_direct_transform():
         anchors = [BitVector(n, int(v)) for v in rng.integers(0, 1 << n, size=2)]
         out = collapse(f, anchors, seed=trial)
         dist = y_distribution(out)
-        hat = slow_walsh(out.mask.astype(np.int64))
+        hat = slow_walsh(mask_of(out).astype(np.int64))
         total = out.size << n
         for y in range(1 << n):
             assert dist[y] == pytest.approx(int(hat[y]) ** 2 / total)
-        assert float(np.sum(dist.probs)) == pytest.approx(1.0)
+        assert dist.dtype == np.float64 and not dist.flags.writeable
+        assert float(np.sum(dist)) == pytest.approx(1.0)
 
 
 def test_every_positive_y_is_orthogonal_to_u0():
@@ -92,10 +101,15 @@ def test_sample_y_follows_the_exact_law():
     f = random_table(n, rng)
     out = collapse(f, [BitVector(n, 0b1010)], seed=3)
     dist = y_distribution(out)
+    # sample_y builds the law on every call, so the bulk draws share one law
+    law = out.weights()
+    for i in range(300):
+        assert sample_y(out, seed=i).bits == law.draw(as_rng(i))
     draws = 20000
     counts = np.zeros(1 << n)
-    for i in range(draws):
-        counts[sample_y(out, seed=i).bits] += 1
+    rng = np.random.default_rng(3)
+    for _ in range(draws):
+        counts[law.draw(rng)] += 1
     for y in range(1 << n):
         p = dist[y]
         se = (p * (1 - p) / draws) ** 0.5
@@ -197,7 +211,7 @@ def _reachable_outcomes(f, anchors):
     groups = {}
     for m, word in enumerate(map(tuple, words.tolist())):
         groups.setdefault(word, []).append(m)
-    return [CollapseOutcome(f.n, tuple(anchors), w, np.array(ms)) for w, ms in groups.items()]
+    return [CollapseOutcome(f.n, w, np.array(ms)) for w, ms in groups.items()]
 
 
 def _definition_weights(mask, cache):
@@ -215,7 +229,7 @@ def _assert_reduced_law_exact(out, cache):
         reduced[sum(((y & b).bit_count() & 1) << j for j, b in enumerate(law.basis))]
         for y in range(1 << out.n)
     ]
-    assert implied == _definition_weights(out.mask, cache)
+    assert implied == _definition_weights(mask_of(out), cache)
     assert law.total == out.size << law.r <= simulate.EXACT_TOTAL_CAP
     assert law.cumulative.dtype == np.int64
 
@@ -227,7 +241,7 @@ def _assert_draws_exact(out, cache):
     for t in range(law.total):
         for u in range(1 << out.n):
             counts[law.draw(_Scripted(t, u))] += 1
-    assert counts == [w << law.r for w in _definition_weights(out.mask, cache)]
+    assert counts == [w << law.r for w in _definition_weights(mask_of(out), cache)]
 
 
 def test_reduced_law_equals_the_full_table_definition():
@@ -300,7 +314,7 @@ def test_single_survivor_gives_uniform_y():
     assert out.size == 1 and law.r == 0 and law.total == 1
     assert law.full_weights().tolist() == [1] * (1 << n)
     assert sorted(law.draw(_Scripted(0, u)) for u in range(1 << n)) == list(range(1 << n))
-    assert np.all(y_distribution(out).probs == 1 / (1 << n))
+    assert np.all(y_distribution(out) == 1 / (1 << n))
 
 
 def test_wide_anchor_free_set_has_full_span(monkeypatch):
@@ -324,7 +338,7 @@ def test_wide_anchor_free_set_has_full_span(monkeypatch):
             law = out.weights()
             assert law.r == n and law.basis == tuple(1 << j for j in range(n))
             assert law.free == 0
-            assert law.full_weights().tolist() == _definition_weights(out.mask, cache)
+            assert law.full_weights().tolist() == _definition_weights(mask_of(out), cache)
 
 
 def test_one_input_bit():
@@ -337,35 +351,3 @@ def test_one_input_bit():
     assert out.size == 1 and out.weights().r == 0
     assert {sample_y(out, seed=s).bits for s in range(50)} == {0, 1}
     assert collapse(const, [], seed=0).weights().r == 1
-
-
-def test_shared_memo_does_not_change_the_y_stream():
-    n = 6
-    f = random_table(n, np.random.default_rng(52))
-    shared = {}
-    streams = []
-    for memo_for_round in (lambda: shared, dict):
-        rng = np.random.default_rng(53)
-        streams.append(
-            [sample_y(collapse(f, [], rng, memo_for_round()), rng).bits for _ in range(200)]
-        )
-    assert streams[0] == streams[1]
-    assert len(shared) == 2
-
-
-def test_memo_keeps_laws_only_where_they_are_small():
-    # three random anchors on an unstructured table: 16 words, each S of
-    # about 2**n / 16 inputs spanning all of GF(2)**n
-    n = 10
-    f = random_table(n, np.random.default_rng(54))
-    rng = np.random.default_rng(55)
-    anchors = [BitVector(n, int(v)) for v in rng.integers(1, 1 << n, size=3)]
-    memo, seen = {}, {}
-    for _ in range(400):
-        out = collapse(f, anchors, rng, memo)
-        law = out.weights()
-        seen[out.observed] = law.cumulative.size
-        if out.observed in memo:
-            assert 1 << law.r <= 4 * out.size
-    assert sum(seen.values()) > 4 << n
-    assert sum(law.cumulative.size for law in memo.values()) <= 4 << n
