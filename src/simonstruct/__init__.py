@@ -29,7 +29,6 @@ from .gf2 import (
     BitVector,
     SpanTracker,
     Subspace,
-    in_span,
     null_space_basis,
     rank,
     span_equal,

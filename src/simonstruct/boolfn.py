@@ -1,7 +1,8 @@
 """Boolean functions: truth tables, algebraic normal form, planted instances.
 
-Truth tables index entry m by the packed input word m (x_1 at bit 0).  A
-multi-output table stores one output word per input the same way.
+A multi-output table stores one output word per input, entry m at the
+packed input word m (x_1 at bit 0).  A truth table is the one-output case
+of it, so both share one validation, evaluation and equality.
 """
 
 from __future__ import annotations
@@ -49,59 +50,21 @@ def _check_cap(n: int, cap: int = DEFAULT_N_CAP) -> None:
         raise ValueError(f"dimension {n} exceeds table cap {cap}")
 
 
-class TruthTable:
-    """Single-output Boolean function on n inputs as a read-only 0/1 array."""
-
-    __slots__ = ("n", "table")
-
-    def __init__(self, n: int, table):
-        _check_cap(n)
-        arr = np.array(table, dtype=np.uint8)
-        if arr.shape != (1 << n,):
-            raise ValueError(f"table must have 2**{n} entries, got shape {arr.shape}")
-        if arr.max(initial=0) > 1:
-            raise ValueError("table entries must be 0 or 1")
-        arr.flags.writeable = False
-        self.n = n
-        self.table = arr
-
-    def __call__(self, x: BitVector | int) -> int:
-        if isinstance(x, BitVector):
-            if x.n != self.n:
-                raise ValueError("dimension mismatch")
-            idx = x.bits
-        else:
-            idx = int(x)
-            if not 0 <= idx < (1 << self.n):
-                raise ValueError("input index out of range")
-        return int(self.table[idx])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruthTable)
-            and self.n == other.n
-            and bool(np.array_equal(self.table, other.table))
-        )
-
-    def __repr__(self) -> str:
-        body = format_bit_rows(self.table[None, :], 1).strip() if self.n <= 5 else "..."
-        return f"TruthTable(n={self.n}, {body})"
-
-
 class MultiTruthTable:
-    """Vector-valued Boolean function: one m_out-bit word per input."""
+    """Vector-valued Boolean function: one m_out-bit word per input, read-only."""
 
     __slots__ = ("n", "m_out", "table")
+    _dtype = np.int64
 
     def __init__(self, n: int, m_out: int, table):
         _check_cap(n)
         if not 1 <= m_out <= 63:
             raise ValueError("output width must be in 1..63")
-        arr = np.array(table, dtype=np.int64)
+        arr = np.array(table, dtype=self._dtype)
         if arr.shape != (1 << n,):
             raise ValueError(f"table must have 2**{n} entries, got shape {arr.shape}")
         if arr.min(initial=0) < 0 or arr.max(initial=0) >= (1 << m_out):
-            raise ValueError("output word out of range for m_out")
+            raise ValueError(f"table entries must lie in 0..{(1 << m_out) - 1}")
         arr.flags.writeable = False
         self.n = n
         self.m_out = m_out
@@ -120,10 +83,24 @@ class MultiTruthTable:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, MultiTruthTable)
+            type(other) is type(self)
             and (self.n, self.m_out) == (other.n, other.m_out)
             and bool(np.array_equal(self.table, other.table))
         )
+
+
+class TruthTable(MultiTruthTable):
+    """Single-output Boolean function: the one-output table, held as 0/1 uint8."""
+
+    __slots__ = ()
+    _dtype = np.uint8
+
+    def __init__(self, n: int, table):
+        super().__init__(n, 1, table)
+
+    def __repr__(self) -> str:
+        body = format_bit_rows(self.table[None, :], 1).strip() if self.n <= 5 else "..."
+        return f"TruthTable(n={self.n}, {body})"
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({"schema": _SCHEMA, **doc}, indent=2) + "\n"
 
 
 def _csv_doc(*lines: str) -> str:
@@ -108,7 +108,6 @@ def cmd_find(args) -> int:
         F = _load_table(parse_multi_truth_table, args.f, args.n_cap)
         rep = find_periods(F, cfg)
         doc = {
-            "schema": _SCHEMA,
             "mode": "periods",
             "n": F.n,
             "span_basis": [str(b) for b in rep.span.basis.rows],
@@ -129,7 +128,6 @@ def cmd_find(args) -> int:
     run = find_structure_simple if args.mode == "simple" else find_structure_iterative
     rep = run(f, cfg, oracle_check=args.oracle_check)
     doc = {
-        "schema": _SCHEMA,
         "mode": args.mode,
         "n": f.n,
         "candidate_basis": [str(b) for b in rep.candidate.basis.rows],
@@ -217,7 +215,6 @@ def cmd_oracle(args) -> int:
         return 0
 
     doc = {
-        "schema": _SCHEMA,
         "n": f.n,
         "spectrum": vals.tolist(),
         "u0_basis": [str(b) for b in sets.u0.basis.rows],
@@ -268,7 +265,6 @@ def cmd_prob(args) -> int:
     table = prob_table(args.n, kmax)
     if args.format == "json":
         doc = {
-            "schema": _SCHEMA,
             "n": table.n,
             "rows": [{"k": k, "s": s, "h": h} for k, s, h in table.rows],
         }
@@ -285,7 +281,6 @@ def cmd_prob(args) -> int:
 def cmd_anf(args) -> int:
     a = parse_anf(args.anf, args.n)
     doc = {
-        "schema": _SCHEMA,
         "n": a.n,
         "anf": format_anf(a),
         "degree": a.degree(),
@@ -297,8 +292,8 @@ def cmd_anf(args) -> int:
             "case": verdict.case,
             "forced_s": str(verdict.forced_s) if verdict.forced_s else None,
         }
+    conditions = theorem2_system(a) if args.system or args.check_s else None
     if args.system:
-        conditions = theorem2_system(a)
         doc["conditions"] = [
             {
                 "x_monomial": _mono_text(c.x_monomial, "x"),
@@ -313,7 +308,6 @@ def cmd_anf(args) -> int:
         s = BitVector.from_string(args.check_s)
         if s.n != a.n:
             raise ValueError("--check-s length does not match the variable count")
-        conditions = theorem2_system(a)
         solves = all(c.evaluate(s) == 0 for c in conditions)
         diff = derivative_anf(a, s)
         zero = not diff.monomials
@@ -344,7 +338,7 @@ def cmd_sat3(args) -> int:
     if args.k is not None and not args.verify_theorem4:
         raise ValueError("--k only restricts --verify-theorem4")
 
-    doc: dict = {"schema": _SCHEMA}
+    doc: dict = {}
     failed = False
 
     if args.reduce or args.solve:
@@ -413,7 +407,7 @@ def cmd_plant(args) -> int:
         flipped = plant_r_type(base, args.r, _child_seed(rng))
         _emit(format_truth_table(flipped), args.out)
         if args.out:
-            doc = {"schema": _SCHEMA, "kind": "rtype", "n": base.n, "r": args.r, "out": args.out}
+            doc = {"kind": "rtype", "n": base.n, "r": args.r, "out": args.out}
             sys.stdout.write(_json_doc(doc))
         return 0
 
@@ -436,7 +430,6 @@ def cmd_plant(args) -> int:
     _emit(text, args.out)
     if args.out:
         doc = {
-            "schema": _SCHEMA,
             "kind": args.kind,
             "n": args.n,
             "dim": span.dim,

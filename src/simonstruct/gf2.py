@@ -20,7 +20,6 @@ __all__ = [
     "rank",
     "null_space_basis",
     "span_equal",
-    "in_span",
     "span_of",
     "MAX_DIMENSION",
 ]
@@ -59,14 +58,6 @@ class BitVector:
                 bits |= 1 << i
         return cls(len(text), bits)
 
-    @classmethod
-    def zero(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
     def bit(self, i: int) -> int:
         """Coordinate x_i, 1-based."""
         if not 1 <= i <= self.n:
@@ -82,10 +73,6 @@ class BitVector:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         return (self.bits & other.bits).bit_count() & 1
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def __int__(self) -> int:
         return self.bits
@@ -110,13 +97,6 @@ class BitMatrix:
     @classmethod
     def from_ints(cls, n: int, rows: Iterable[int]) -> "BitMatrix":
         return cls(n, tuple(BitVector(n, r) for r in rows))
-
-    @classmethod
-    def from_strings(cls, rows: Iterable[str]) -> "BitMatrix":
-        vecs = tuple(BitVector.from_string(r) for r in rows)
-        if not vecs:
-            raise ValueError("cannot infer dimension from an empty string list")
-        return cls(vecs[0].n, vecs)
 
     def row_ints(self) -> list[int]:
         return [r.bits for r in self.rows]
@@ -274,7 +254,3 @@ def span_equal(a: Subspace, b: Subspace) -> bool:
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     return a.basis.row_ints() == b.basis.row_ints()
-
-
-def in_span(v: BitVector, s: Subspace) -> bool:
-    return s.contains(v)

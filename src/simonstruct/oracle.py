@@ -69,20 +69,15 @@ class RTypeHit(NamedTuple):
     violations: int
 
 
+@dataclass(frozen=True, eq=False)
 class VerifyResult:
     """Outcome of a sampled check; truthy on acceptance, carries a witness."""
 
-    __slots__ = ("ok", "witness")
-
-    def __init__(self, ok: bool, witness: tuple[BitVector, BitVector] | None = None):
-        self.ok = ok
-        self.witness = witness
+    ok: bool
+    witness: tuple[BitVector, BitVector] | None = None
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __repr__(self) -> str:
-        return f"VerifyResult(ok={self.ok}, witness={self.witness})"
 
 
 def autocorrelation(f: TruthTable, cap: int = DEFAULT_N_CAP) -> AutocorrSpectrum:

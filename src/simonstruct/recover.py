@@ -59,8 +59,10 @@ class RunConfig:
             rank_window=12 if self.rank_window is None else self.rank_window,
             verify_p=max(64, 4 * n) if self.verify_p is None else self.verify_p,
         )
-        if min(res.rounds_cap, res.rank_window, res.verify_p) < 1:
-            raise ValueError("all resolved config values must be positive")
+        for name in ("rounds_cap", "rank_window", "verify_p"):
+            value = getattr(res, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         return res
 
 
@@ -102,7 +104,7 @@ def _independent_anchors(n: int, count: int, rng) -> list[BitVector]:
 
 
 def _sampling_pass(
-    f: TruthTable | MultiTruthTable, anchors, res: RunConfig, rng
+    f: MultiTruthTable, anchors, res: RunConfig, rng
 ) -> tuple[BitMatrix, Subspace, bool]:
     """Collapse f at the anchors and draw one y per round, until the rank
     stalls for rank_window rounds or the cap hits.

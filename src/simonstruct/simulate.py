@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfn import MultiTruthTable, TruthTable
+from .boolfn import MultiTruthTable
 from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rref_array, null_space_basis
 from .rng import as_rng
 from .walsh import parity, walsh_hadamard
@@ -154,19 +154,19 @@ class CollapseOutcome:
 
 
 def collapse(
-    f: TruthTable | MultiTruthTable,
+    f: MultiTruthTable,
     anchors: Sequence[BitVector],
     seed=None,
 ) -> CollapseOutcome:
     """Measure the output register over offsets (0, a_1, ..., a_l).
 
-    f may be single- or multi-output: the observed word holds f's output
-    at each offset, so with no anchors a multi-output F collapses to the
-    inputs sharing one output value, as in period finding.  The zero offset
-    is implicit and always probed first.  Drawing the witness m uniformly
-    reproduces the exact measurement statistics: an output word is seen
-    with probability |S|/2**n and, given the word, the surviving set is S
-    itself.
+    A TruthTable is the one-output MultiTruthTable, so one path serves
+    both: the observed word holds f's output at each offset, and with no
+    anchors F collapses to the inputs sharing one output value, as in
+    period finding.  The zero offset is implicit and always probed first.
+    Drawing the witness m uniformly reproduces the exact measurement
+    statistics: an output word is seen with probability |S|/2**n and,
+    given the word, the surviving set is S itself.
     """
     anchors = tuple(anchors)
     for a in anchors:

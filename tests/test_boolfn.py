@@ -24,7 +24,7 @@ from simonstruct.boolfn import (
     plant_structure,
     tt_of,
 )
-from simonstruct.gf2 import BitVector, span_of
+from simonstruct.gf2 import BitVector, span_equal, span_of
 from simonstruct.oracle import brute_periods, brute_structures
 
 from _oracles import autocorr_def, bit_rows_def, span_set, structure_sets_def
@@ -74,6 +74,20 @@ def test_multi_truth_table_basics():
         MultiTruthTable(2, 2, [0, 4, 0, 0])
     with pytest.raises(ValueError):
         MultiTruthTable(2, 2, [0, 1, 2])
+
+
+def test_truth_table_is_the_one_output_multi_truth_table():
+    f = TruthTable(2, [0, 1, 1, 0])
+    F = MultiTruthTable(2, 1, [0, 1, 1, 0])
+    assert isinstance(f, MultiTruthTable) and f.m_out == 1
+    assert f.table.dtype == np.uint8 and F.table.dtype == np.int64
+    # same words, different kinds: the types stay apart
+    assert f != F and F != f
+    # so the period oracle reads a one-output table as the c = 0 structures
+    for n in range(1, 4):
+        for code in range(1 << (1 << n)):
+            g = TruthTable(n, [(code >> x) & 1 for x in range(1 << n)])
+            assert span_equal(brute_periods(g), brute_structures(g).u0)
 
 
 def test_anf_round_trip_random():

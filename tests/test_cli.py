@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from simonstruct import boolfn, cli, oracle, simulate
+from simonstruct import boolfn, cli, oracle, recover, simulate
 from simonstruct.boolfn import TruthTable, parse_multi_truth_table, parse_truth_table
 from simonstruct.recover import _independent_anchors
 from simonstruct.simulate import collapse, sample_y
@@ -221,16 +221,41 @@ def test_flags_are_refused_where_they_are_not_read(workdir):
         (["sat3", "--verify-theorem4", "1", "--trials", "-1"], "--trials"),
         (["sat3", "--verify-theorem4", "1", "--trials", "0"], "--trials"),
         (["sat3", "--verify-theorem4", "2a", "--k", "13"], "12"),
+        (["find", "--rounds-cap", "0"], "rounds_cap"),
+        (["find", "--rounds-cap", "-3"], "rounds_cap"),
+        (["find", "--verify-p", "0"], "verify_p"),
     ],
-    ids=["anchors-neg", "rounds-0", "rounds-neg", "repeat-0", "trials-neg", "trials-0", "k-13"],
+    ids=[
+        "anchors-neg", "rounds-0", "rounds-neg", "repeat-0", "trials-neg", "trials-0", "k-13",
+        "rounds-cap-0", "rounds-cap-neg", "verify-p-0",
+    ],
 )
 def test_bad_counts_exit_2_with_a_message(workdir, capsys, argv, limit):
-    if argv[0] == "sample":
+    if argv[0] in ("sample", "find"):
         argv = [*argv, "--f", str(workdir / "f.tt")]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and limit in err
+
+
+def test_find_passes_rounds_cap_and_verify_p_through(tmp_path, capsys, monkeypatch):
+    f = str(tmp_path / "f.tt")
+    assert cli.main(["plant", "--n", "8", "--dim", "2", "--seed", "11", "--out", f]) == 0
+    capsys.readouterr()
+    assert cli.main(["find", "--f", f, "--rounds-cap", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rounds_used"] == 3 and doc["stabilized"] is False
+    probes = []
+
+    def spy(f, candidates, p, seed=None):
+        probes.append(p)
+        return oracle.sampled_verify(f, candidates, p, seed)
+
+    monkeypatch.setattr(recover, "sampled_verify", spy)
+    assert cli.main(["find", "--f", f]) == 0
+    assert cli.main(["find", "--f", f, "--verify-p", "5"]) == 0
+    assert probes == [64, 5]
 
 
 def test_non_ascii_table_exits_with_usage_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from simonstruct.gf2 import (
     BitVector,
     SpanTracker,
     Subspace,
-    in_span,
     null_space_basis,
     rank,
     span_equal,
@@ -37,9 +36,8 @@ def test_bitvector_algebra():
         b = BitVector(n, int(rng.integers(0, 1 << n)))
         assert (a ^ b).bits == a.bits ^ b.bits
         assert a.dot(b) == popcount(a.bits & b.bits) % 2
-        assert a.weight == popcount(a.bits)
-    assert BitVector.zero(4).bits == 0
-    assert BitVector.ones(4).bits == 15
+    assert str(BitVector(4, 0)) == "0000"
+    assert str(BitVector(4, 2**4 - 1)) == "1111"
 
 
 def test_bitvector_validation():
@@ -58,7 +56,7 @@ def test_bitvector_validation():
 def test_dimension_cap_is_the_table_cap():
     assert MAX_DIMENSION == DEFAULT_N_CAP == 24
     top = (1 << 24) - 1
-    assert BitVector(24, top).weight == 24
+    assert BitVector(24, top).bits.bit_count() == 24
     assert SpanTracker(24, [top, 1 << 23]).dim == 2
     assert Anf(24, frozenset({frozenset({1, 24})})).degree() == 2
     with pytest.raises(ValueError):
@@ -72,7 +70,7 @@ def test_dimension_cap_is_the_table_cap():
 def test_bitmatrix_round_trips():
     m = BitMatrix.from_ints(4, [0b1010, 0b0001])
     assert m.row_ints() == [0b1010, 0b0001]
-    m2 = BitMatrix.from_strings(["0101", "1000"])
+    m2 = BitMatrix(4, tuple(BitVector.from_string(r) for r in ["0101", "1000"]))
     assert m2.n == 4
     assert [str(r) for r in m2.rows] == ["0101", "1000"]
     with pytest.raises(ValueError):
@@ -127,7 +125,7 @@ def test_span_of_and_membership():
         assert set(int(x) for x in s.member_ints()) == members
         assert s.member_ints().tolist() == sorted(members)
         for w in range(1 << n):
-            assert in_span(BitVector(n, w), s) == (w in members)
+            assert s.contains(BitVector(n, w)) == (w in members)
 
 
 def test_subspace_requires_rref_basis():
@@ -185,7 +183,7 @@ def test_empty_span_edge_cases():
     s = span_of(6, [])
     assert s.dim == 0
     assert s.member_ints().tolist() == [0]
-    assert in_span(BitVector(6, 0), s)
-    assert not in_span(BitVector(6, 1), s)
+    assert s.contains(BitVector(6, 0))
+    assert not s.contains(BitVector(6, 1))
     full = null_space_basis(BitMatrix(6, ()))
     assert full.dim == 6

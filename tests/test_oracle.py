@@ -194,6 +194,7 @@ def test_sampled_verify_accepts_true_structures():
         result = sampled_verify(f, list(basis.basis.rows), p=32, seed=trial)
         assert bool(result)
         assert result.witness is None
+        assert repr(result) == "VerifyResult(ok=True, witness=None)"
 
 
 def test_sampled_verify_rejects_with_witness():
