@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import MAX_DIMENSION, BitVector, Subspace, _check_dim
+from .gf2 import BitVector, Subspace, _check_dim
 from .rng import as_rng
 from .walsh import EXACT_FLOAT_BOUND, factored, mobius_transform, xor_permute
 
@@ -35,19 +35,10 @@ __all__ = [
     "format_multi_truth_table",
     "parse_anf",
     "format_anf",
-    "DEFAULT_N_CAP",
     "PLANT_RETRY_CAP",
 ]
 
-# Tables take 2**n entries; call sites may pass a lower cap, never a higher one.
-DEFAULT_N_CAP = MAX_DIMENSION
 PLANT_RETRY_CAP = 64
-
-
-def _check_cap(n: int, cap: int = DEFAULT_N_CAP) -> None:
-    _check_dim(n)
-    if n > cap:
-        raise ValueError(f"dimension {n} exceeds table cap {cap}")
 
 
 class MultiTruthTable:
@@ -57,14 +48,18 @@ class MultiTruthTable:
     _dtype = np.int64
 
     def __init__(self, n: int, m_out: int, table):
-        _check_cap(n)
+        _check_dim(n)
         if not 1 <= m_out <= 63:
             raise ValueError("output width must be in 1..63")
-        arr = np.array(table, dtype=self._dtype)
+        # checked before the cast, which would wrap or truncate a bad entry
+        arr = np.asarray(table)
         if arr.shape != (1 << n,):
             raise ValueError(f"table must have 2**{n} entries, got shape {arr.shape}")
-        if arr.min(initial=0) < 0 or arr.max(initial=0) >= (1 << m_out):
+        if arr.dtype.kind not in "biu":
+            raise ValueError(f"table entries must be integers, got dtype {arr.dtype}")
+        if arr.min() < 0 or arr.max() >= (1 << m_out):
             raise ValueError(f"table entries must lie in 0..{(1 << m_out) - 1}")
+        arr = arr.astype(self._dtype)
         arr.flags.writeable = False
         self.n = n
         self.m_out = m_out
@@ -148,7 +143,7 @@ class PlantSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        _check_cap(self.n)
+        _check_dim(self.n)
         if self.structure_basis.n != self.n:
             raise ValueError("dimension mismatch between n and structure basis")
 
@@ -274,7 +269,7 @@ def plant_periods(n: int, basis: Subspace, seed=None) -> MultiTruthTable:
     exactly.  A zero-dimensional span is rejected: there is no nonzero
     period to find.
     """
-    _check_cap(n)
+    _check_dim(n)
     if basis.n != n:
         raise ValueError("dimension mismatch")
     k = basis.dim
@@ -328,7 +323,7 @@ def _read_header(text: str) -> tuple[int, bytes]:
     if not re.fullmatch(rb"n=\s*\d+\s*", head):
         raise ValueError(f"table text must start with a 'n=<k>' line, not {head[:32]!r}")
     n = int(head[2:])
-    _check_cap(n)
+    _check_dim(n)
     return n, body
 
 
@@ -367,10 +362,12 @@ def format_anf(a: Anf) -> str:
     if not a.monomials:
         return "0"
     ordered = sorted(a.monomials, key=lambda m: (-len(m), sorted(m)))
-    parts = []
-    for mono in ordered:
-        parts.append("*".join(f"x{v}" for v in sorted(mono)) if mono else "1")
-    return " + ".join(parts)
+    return " + ".join(_mono_text(m, "x") for m in ordered)
+
+
+def _mono_text(mono: frozenset[int], var: str) -> str:
+    """One monomial as 'x1*x3' (variables named by var), the constant as '1'."""
+    return "*".join(f"{var}{v}" for v in sorted(mono)) if mono else "1"
 
 
 def parse_anf(text: str, n: int | None = None) -> Anf:

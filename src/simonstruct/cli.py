@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .boolfn import (
-    DEFAULT_N_CAP,
     PlantSpec,
     TruthTable,
     _mono_index,
+    _mono_text,
     autocorr_values,
     format_anf,
     format_bit_rows,
@@ -35,7 +35,7 @@ from .boolfn import (
     plant_r_type,
     plant_structure,
 )
-from .gf2 import BitVector, span_equal, span_of
+from .gf2 import MAX_DIMENSION, BitVector, span_equal, span_of
 from .oracle import _r_type_hits, _structure_sets, _violations, autocorrelation, brute_periods
 from .probmodel import (
     prob_table,
@@ -80,19 +80,6 @@ def _csv_doc(*lines: str) -> str:
     return "\n".join([f"# schema={_SCHEMA}", *lines]) + "\n"
 
 
-def _mono_text(mono: frozenset[int], var: str) -> str:
-    if not mono:
-        return "1"
-    return "*".join(f"{var}{i}" for i in sorted(mono))
-
-
-def _load_table(parse, path: str, n_cap: int):
-    table = parse(_read_text(path))
-    if table.n > n_cap:
-        raise ValueError(f"table dimension {table.n} exceeds --n-cap {n_cap}")
-    return table
-
-
 def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
@@ -105,7 +92,7 @@ def cmd_find(args) -> int:
         rounds_cap=args.rounds_cap, verify_p=args.verify_p, seed=args.seed
     )
     if args.mode == "periods":
-        F = _load_table(parse_multi_truth_table, args.f, args.n_cap)
+        F = parse_multi_truth_table(_read_text(args.f))
         rep = find_periods(F, cfg)
         doc = {
             "mode": "periods",
@@ -118,13 +105,13 @@ def cmd_find(args) -> int:
         }
         failed = False
         if args.oracle_check:
-            truth = brute_periods(F, cap=args.n_cap)
+            truth = brute_periods(F)
             doc["oracle_agrees"] = span_equal(rep.span, truth)
             failed = not doc["oracle_agrees"]
         _emit(_json_doc(doc), args.out)
         return 1 if failed else 0
 
-    f = _load_table(parse_truth_table, args.f, args.n_cap)
+    f = parse_truth_table(_read_text(args.f))
     run = find_structure_simple if args.mode == "simple" else find_structure_iterative
     rep = run(f, cfg, oracle_check=args.oracle_check)
     doc = {
@@ -152,7 +139,7 @@ def cmd_find(args) -> int:
 def cmd_sample(args) -> int:
     if args.rounds < 1:
         raise ValueError("--rounds must be at least 1")
-    f = _load_table(parse_truth_table, args.f, args.n_cap)
+    f = parse_truth_table(_read_text(args.f))
     rng = as_rng(args.seed)
     if args.anchors.startswith("random:"):
         anchors = _independent_anchors(f.n, int(args.anchors.split(":", 1)[1]), rng)
@@ -196,8 +183,8 @@ def cmd_sample(args) -> int:
 def cmd_oracle(args) -> int:
     if args.format == "csv" and args.scan_r is not None:
         raise ValueError("--scan-r is JSON only; the CSV violations column covers every shift")
-    f = _load_table(parse_truth_table, args.f, args.n_cap)
-    spectrum = autocorrelation(f, cap=args.n_cap)
+    f = parse_truth_table(_read_text(args.f))
+    spectrum = autocorrelation(f)
     # the closure and coset checks guard both output formats
     sets = _structure_sets(spectrum)
     vals = spectrum.values
@@ -403,7 +390,7 @@ def cmd_plant(args) -> int:
     if args.kind == "rtype":
         if not args.f:
             raise ValueError("--kind rtype needs --f <base table>")
-        base = _load_table(parse_truth_table, args.f, args.n_cap)
+        base = parse_truth_table(_read_text(args.f))
         flipped = plant_r_type(base, args.r, _child_seed(rng))
         _emit(format_truth_table(flipped), args.out)
         if args.out:
@@ -413,8 +400,6 @@ def cmd_plant(args) -> int:
 
     if args.n is None or args.dim is None:
         raise ValueError("--kind structure/periods needs --n and --dim")
-    if args.n > args.n_cap:
-        raise ValueError(f"--n {args.n} exceeds --n-cap {args.n_cap}")
     if not 0 <= args.dim <= args.n:
         raise ValueError("--dim must lie in 0..n")
     if args.kind == "periods" and args.dim == 0:
@@ -444,10 +429,8 @@ def cmd_plant(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.n_max > args.n_cap:
-        raise ValueError(f"--n-max {args.n_max} exceeds --n-cap {args.n_cap}")
-    if args.n_min < 1 or args.n_min > args.n_max:
-        raise ValueError("need 1 <= --n-min <= --n-max")
+    if not 1 <= args.n_min <= args.n_max <= MAX_DIMENSION:
+        raise ValueError(f"need 1 <= --n-min <= --n-max <= {MAX_DIMENSION}")
     if args.repeat < 1:
         raise ValueError("--repeat must be at least 1")
     rng = as_rng(args.seed)
@@ -493,13 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="RNG seed; default 0x53494D4F4E, fixed for reproducibility",
     )
     common.add_argument("--out", help="write the main artifact here instead of stdout")
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument(
-        "--n-cap",
-        type=int,
-        default=DEFAULT_N_CAP,
-        help=f"refuse tables larger than 2**cap entries (default {DEFAULT_N_CAP})",
-    )
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="json", help="artifact format")
 
@@ -509,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("find", parents=[capped], help="recover structures or periods by sampling")
+    p = sub.add_parser("find", parents=[common], help="recover structures or periods by sampling")
     p.add_argument("--f", required=True, help="truth-table file, or - for stdin")
     p.add_argument("--mode", choices=("simple", "iterative", "periods"), default="simple")
     p.add_argument("--rounds-cap", type=int, default=None)
@@ -521,14 +497,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_find)
 
-    p = sub.add_parser("sample", parents=[capped], help="emit measurement samples, one y per line")
+    p = sub.add_parser("sample", parents=[common], help="emit measurement samples, one y per line")
     p.add_argument("--f", required=True, help="truth-table file, or - for stdin")
     p.add_argument("--anchors", default="random:0", help="anchor file or random:k")
     p.add_argument("--rounds", type=int, default=16)
     p.add_argument("--trace", help="write a JSON-lines trace of (observed, |S|) here")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("oracle", parents=[capped, fmt], help="exact spectrum and structure sets")
+    p = sub.add_parser("oracle", parents=[common, fmt], help="exact spectrum and structure sets")
     p.add_argument("--f", required=True, help="truth-table file, or - for stdin")
     p.add_argument("--scan-r", type=int, default=None, help="also list shifts with <= r violations")
     p.set_defaults(func=cmd_oracle)
@@ -564,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_sat3)
 
-    p = sub.add_parser("plant", parents=[capped], help="construct ground-truth instances")
+    p = sub.add_parser("plant", parents=[common], help="construct ground-truth instances")
     p.add_argument("--kind", choices=("structure", "periods", "rtype"), default="structure")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
@@ -572,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1, help="points to flip for --kind rtype")
     p.set_defaults(func=cmd_plant)
 
-    p = sub.add_parser("bench", parents=[capped], help="transform and recovery timings per n")
+    p = sub.add_parser("bench", parents=[common], help="transform and recovery timings per n")
     p.add_argument("--n-min", type=int, default=12)
     p.add_argument("--n-max", type=int, default=16)
     p.add_argument("--repeat", type=int, default=3, help="timing repetitions, best kept")

@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boolfn import DEFAULT_N_CAP, MultiTruthTable, TruthTable, _check_cap, autocorr_values
-from .gf2 import BitVector, Subspace, span_of
+from .boolfn import MultiTruthTable, TruthTable, autocorr_values
+from .gf2 import MAX_DIMENSION, BitVector, Subspace, span_of
 from .rng import as_rng
 from .walsh import xor_permute
 
@@ -80,12 +80,11 @@ class VerifyResult:
         return self.ok
 
 
-def autocorrelation(f: TruthTable, cap: int = DEFAULT_N_CAP) -> AutocorrSpectrum:
+def autocorrelation(f: TruthTable) -> AutocorrSpectrum:
     """Autocorrelation spectrum in O(n * 2**n) via two transforms.
 
     Computed exactly by :func:`boolfn.autocorr_values`, one float64 kernel.
     """
-    _check_cap(f.n, cap)
     return AutocorrSpectrum(f.n, autocorr_values(f.table))
 
 
@@ -122,12 +121,18 @@ def _structure_sets(spectrum: AutocorrSpectrum) -> StructureSets:
     return StructureSets(u0=u0, u1=u1)
 
 
-def brute_structures(f: TruthTable, cap: int = DEFAULT_N_CAP) -> StructureSets:
-    """Exact structure sets read from the full autocorrelation spectrum."""
-    return _structure_sets(autocorrelation(f, cap))
+def brute_structures(f: TruthTable, cap: int = MAX_DIMENSION) -> StructureSets:
+    """Exact structure sets read from the full autocorrelation spectrum.
+
+    cap can only lower the table's own limit; the benchmark's smoke test
+    still passes it positionally, so it stays until that call drops it.
+    """
+    if f.n > cap:
+        raise ValueError(f"dimension {f.n} exceeds table cap {cap}")
+    return _structure_sets(autocorrelation(f))
 
 
-def brute_periods(F: MultiTruthTable, cap: int = DEFAULT_N_CAP) -> Subspace:
+def brute_periods(F: MultiTruthTable) -> Subspace:
     """Exact period span of a multi-output function.
 
     A shift fixes F everywhere iff it is a zero-constant structure of
@@ -135,7 +140,6 @@ def brute_periods(F: MultiTruthTable, cap: int = DEFAULT_N_CAP) -> Subspace:
     per-bit structure subspaces, read off their spectra one output bit at
     a time so that peak memory does not grow with m_out.
     """
-    _check_cap(F.n, cap)
     size = 1 << F.n
     mask = np.ones(size, dtype=bool)
     for j in range(F.m_out):
@@ -165,14 +169,14 @@ def _r_type_hits(spectrum: AutocorrSpectrum, r: int) -> list[RTypeHit]:
     ]
 
 
-def r_type_scan(f: TruthTable, r: int, cap: int = DEFAULT_N_CAP) -> list[RTypeHit]:
+def r_type_scan(f: TruthTable, r: int) -> list[RTypeHit]:
     """All shifts whose derivative is within r inputs of being constant.
 
     The violation count of a shift is minimized over the two candidate
     constants; ties (spectrum value 0) report c = 0.  r = 0 returns exactly
     the linear structures, and r = 2**(n-1) returns every shift.
     """
-    return _r_type_hits(autocorrelation(f, cap), r)
+    return _r_type_hits(autocorrelation(f), r)
 
 
 def violation_points(f: TruthTable, alpha: BitVector, c: int) -> list[BitVector]:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .boolfn import Anf
-from .gf2 import BitVector
+from .gf2 import BitVector, _check_dim
 from .symbolic import theorem2_system
 
 __all__ = [
@@ -28,14 +28,10 @@ __all__ = [
     "reduce_cnf",
     "solve_brute",
     "cnf_satisfiable",
-    "cnf_mask",
-    "system_mask",
     "equisat_check",
     "theorem4_verify",
 ]
 
-SOLVE_N_CAP = 24
-MASK_N_CAP = 20
 _CHUNK = 1 << 20
 
 # (variable index 1..n, negated flag)
@@ -175,8 +171,7 @@ def _cnf_ok(cnf: Cnf3, words: np.ndarray) -> np.ndarray:
 def _first_hit(ok, problem) -> BitVector | None:
     """Smallest word w in [0, 2**n) with ok(problem, w), scanned a chunk at a time."""
     n = problem.n
-    if n > SOLVE_N_CAP:
-        raise ValueError(f"brute-force scan capped at n <= {SOLVE_N_CAP}")
+    _check_dim(n)
     size = 1 << n
     for start in range(0, size, _CHUNK):
         words = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
@@ -184,13 +179,6 @@ def _first_hit(ok, problem) -> BitVector | None:
         if hits.size:
             return BitVector(n, int(words[hits[0]]))
     return None
-
-
-def _full_mask(ok, problem) -> np.ndarray:
-    """ok(problem, w) for every w in [0, 2**n) as one array."""
-    if problem.n > MASK_N_CAP:
-        raise ValueError(f"mask capped at n <= {MASK_N_CAP}")
-    return ok(problem, np.arange(1 << problem.n, dtype=np.int64))
 
 
 def solve_brute(system: ProductEquationSystem) -> BitVector | None:
@@ -204,16 +192,6 @@ def cnf_satisfiable(cnf: Cnf3) -> BitVector | None:
     Independent of the reduction route; exists to validate it.
     """
     return _first_hit(_cnf_ok, cnf)
-
-
-def cnf_mask(cnf: Cnf3) -> np.ndarray:
-    """Satisfaction mask over all 2**n assignments."""
-    return _full_mask(_cnf_ok, cnf)
-
-
-def system_mask(system: ProductEquationSystem) -> np.ndarray:
-    """Solution mask over all 2**n shifts."""
-    return _full_mask(_system_ok, system)
 
 
 def equisat_check(cnf: Cnf3) -> bool:

@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .boolfn import Anf, DEFAULT_N_CAP, _check_cap, _evaluate_monomials, _mono_index
-from .gf2 import BitVector
+from .boolfn import Anf, _evaluate_monomials, _mono_index
+from .gf2 import MAX_DIMENSION, BitVector, _check_dim
 from .walsh import mobius_transform
 
 __all__ = [
@@ -99,16 +99,14 @@ def theorem2_system(f: Anf) -> list[SymbolicCondition]:
     return conditions
 
 
-def solution_mask(
-    conditions: list[SymbolicCondition], n: int, cap: int = DEFAULT_N_CAP
-) -> np.ndarray:
+def solution_mask(conditions: list[SymbolicCondition], n: int) -> np.ndarray:
     """Boolean mask over all 2**n shifts solving every condition.
 
     Each condition is a multilinear polynomial, so its value table is one
     Moebius transform of its coefficient table; the batch transform makes
     the full solve one matrix pass.
     """
-    _check_cap(n, cap)
+    _check_dim(n)
     size = 1 << n
     if not conditions:
         return np.ones(size, dtype=bool)
@@ -172,8 +170,8 @@ def lemma1_check(p: SymbolicCondition, k: int) -> bool:
     monomials" agree (both hold or both fail); a multilinear polynomial
     over GF(2) vanishes everywhere only by being identically zero.
     """
-    if k < 0 or k > DEFAULT_N_CAP:
-        raise ValueError(f"k must be in 0..{DEFAULT_N_CAP}")
+    if k < 0 or k > MAX_DIMENSION:
+        raise ValueError(f"k must be in 0..{MAX_DIMENSION}")
     for mono in p.monomials:
         if any(v > k for v in mono):
             raise ValueError("condition uses variables beyond k")

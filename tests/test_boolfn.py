@@ -64,6 +64,11 @@ def test_truth_table_validation():
         TruthTable(2, [0, 1, 2, 0])
     with pytest.raises(ValueError):
         TruthTable(30, np.zeros(8, dtype=np.uint8))
+    # entries are checked before the cast, which would wrap 256 to 0,
+    # truncate 0.5 to 0, or raise OverflowError on the list
+    for table in (np.array([256, 1]), np.array([0.5, 1]), [256, 1]):
+        with pytest.raises(ValueError):
+            TruthTable(1, table)
 
 
 def test_multi_truth_table_basics():

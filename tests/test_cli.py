@@ -94,12 +94,18 @@ def test_find_reads_stdin(workdir):
     assert json.loads(r.stdout)["candidate_dim"] == 2
 
 
-def test_find_rejects_garbage_with_exit_2(workdir):
+def test_find_rejects_garbage_with_exit_2(workdir, capsys):
     r = run_cli("find", "--f", str(workdir / "missing.tt"))
     assert r.returncode == 2
     assert "error:" in r.stderr
     r = run_cli("find", "--f", "-", stdin="not a table\n")
     assert r.returncode == 2
+    # a header above the dimension cap of 24 is refused when the table is parsed
+    big = workdir / "n25.tt"
+    big.write_text("n=25\n0\n")
+    for argv in (["find"], ["find", "--mode", "periods"], ["oracle"], ["sample"]):
+        assert cli.main([*argv, "--f", str(big)]) == 2
+        assert "24" in capsys.readouterr().err
 
 
 def test_sample_emits_rounds_and_trace(workdir):
@@ -224,10 +230,12 @@ def test_flags_are_refused_where_they_are_not_read(workdir):
         (["find", "--rounds-cap", "0"], "rounds_cap"),
         (["find", "--rounds-cap", "-3"], "rounds_cap"),
         (["find", "--verify-p", "0"], "verify_p"),
+        (["plant", "--n", "25", "--dim", "1"], "24"),
+        (["bench", "--n-max", "25"], "24"),
     ],
     ids=[
         "anchors-neg", "rounds-0", "rounds-neg", "repeat-0", "trials-neg", "trials-0", "k-13",
-        "rounds-cap-0", "rounds-cap-neg", "verify-p-0",
+        "rounds-cap-0", "rounds-cap-neg", "verify-p-0", "plant-n-25", "bench-n-max-25",
     ],
 )
 def test_bad_counts_exit_2_with_a_message(workdir, capsys, argv, limit):

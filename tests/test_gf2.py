@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from simonstruct.boolfn import DEFAULT_N_CAP, Anf
+from simonstruct.boolfn import Anf
 from simonstruct.gf2 import (
     MAX_DIMENSION,
     BitMatrix,
@@ -54,7 +54,7 @@ def test_bitvector_validation():
 
 
 def test_dimension_cap_is_the_table_cap():
-    assert MAX_DIMENSION == DEFAULT_N_CAP == 24
+    assert MAX_DIMENSION == 24
     top = (1 << 24) - 1
     assert BitVector(24, top).bits.bit_count() == 24
     assert SpanTracker(24, [top, 1 << 23]).dim == 2

@@ -46,10 +46,11 @@ def test_autocorrelation_exhaustive_n2():
             assert spec[alpha] == autocorr_def(f.table, alpha)
 
 
-def test_autocorrelation_respects_cap():
+def test_brute_structures_respects_cap():
     f = TruthTable(5, np.zeros(32, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        autocorrelation(f, cap=4)
+    with pytest.raises(ValueError, match="cap 4"):
+        brute_structures(f, cap=4)
+    assert brute_structures(f, 5).u0.dim == 5
 
 
 def test_spectrum_is_a_read_only_view_of_its_values():

@@ -175,9 +175,14 @@ def test_lemma1_validation():
         lemma1_check(cond, -1)
     with pytest.raises(ValueError):
         lemma1_check(cond, 1)
+    with pytest.raises(ValueError):
+        lemma1_check(cond, 25)
 
 
 def test_solution_mask_no_conditions_accepts_everything():
     mask = solution_mask([], 4)
     assert mask.all()
     assert mask.shape == (16,)
+    # the empty system still obeys the dimension cap
+    with pytest.raises(ValueError):
+        solution_mask([], 25)
