@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import BitVector, Subspace, _check_dim
+from .gf2 import BitVector, Subspace, _check_dim, _reduce, linear_index
 from .rng import as_rng
 from .walsh import EXACT_FLOAT_BOUND, factored, mobius_transform, xor_permute
 
@@ -184,22 +184,16 @@ def derivative(f: TruthTable, s: BitVector) -> TruthTable:
 def _coset_index(n: int, basis: Subspace) -> tuple[np.ndarray, int]:
     """Map every x to the index of its coset of the given subspace.
 
-    Reduction by the RREF basis clears the pivot coordinates, leaving a
-    canonical representative supported on the complement coordinates, which
-    is then packed densely into 0..2**(n-dim)-1.
+    Reducing x by the RREF rows clears the pivot coordinates, and packing
+    the free ones gives an index in 0..2**(n-dim)-1.  Both steps are
+    GF(2)-linear, so linear_index expands the images of the unit words.
     """
-    x = np.arange(1 << n, dtype=np.int64)
     rows = basis.basis.row_ints()
-    for row in rows:
-        pivot = (row & -row).bit_length() - 1
-        hit = (x >> pivot) & 1 == 1
-        x = np.where(hit, x ^ row, x)
-    pivot_cols = {(r & -r).bit_length() - 1 for r in rows}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    packed = np.zeros(1 << n, dtype=np.int64)
-    for j, c in enumerate(free_cols):
-        packed |= ((x >> c) & 1) << j
-    return packed, len(free_cols)
+    pivots = {(r & -r).bit_length() - 1 for r in rows}
+    free_cols = [c for c in range(n) if c not in pivots]
+    reduced = [_reduce(1 << k, rows) for k in range(n)]
+    images = [sum(((x >> c) & 1) << j for j, c in enumerate(free_cols)) for x in reduced]
+    return linear_index(n, images), len(free_cols)
 
 
 def autocorr_values(table: np.ndarray) -> np.ndarray:
@@ -224,11 +218,6 @@ def autocorr_values(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_structure_count(table: np.ndarray) -> int:
-    """Number of words a with f constant on every coset of {0, a}."""
-    return int(np.count_nonzero(autocorr_values(table) == table.size))
-
-
 def plant_structure(spec: PlantSpec) -> TruthTable:
     """Random f whose zero-constant structure set is exactly the given span.
 
@@ -242,7 +231,7 @@ def plant_structure(spec: PlantSpec) -> TruthTable:
     for _ in range(PLANT_RETRY_CAP):
         values = rng.integers(0, 2, size=1 << free, dtype=np.uint8)
         table = values[idx]
-        if _zero_structure_count(table) == want:
+        if np.count_nonzero(autocorr_values(table) == table.size) == want:
             return TruthTable(spec.n, table)
     raise RuntimeError(
         f"no clean planted instance after {PLANT_RETRY_CAP} attempts "

@@ -8,7 +8,7 @@ the string "110" is the vector with x_1 = 1, x_2 = 1, x_3 = 0 (packed 0b011).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "null_space_basis",
     "span_equal",
     "span_of",
+    "linear_index",
     "MAX_DIMENSION",
 ]
 
@@ -118,6 +119,20 @@ def _reduce(v: int, rows: Iterable[int]) -> int:
     return v
 
 
+def linear_index(n: int, images: Sequence[int]) -> np.ndarray:
+    """int64 table of the GF(2)-linear map taking unit word k to images[k] < 2**63.
+
+    Built by doubling, out[2**k : 2**(k+1)] = out[:2**k] ^ images[k]: n xors of
+    int64 vectors, exact, with no per-row or per-bit pass over the full table.
+    """
+    if len(images) != n:
+        raise ValueError(f"a linear map on {n} bits needs {n} images, got {len(images)}")
+    out = np.zeros(1 << n, dtype=np.int64)
+    for k, image in enumerate(images):
+        np.bitwise_xor(out[: 1 << k], image, out=out[1 << k : 2 << k])
+    return out
+
+
 def _rref_array(values: np.ndarray, n: int) -> list[int]:
     """RREF of the span of an integer array, one vectorised pass per pivot."""
     rows = values[values != 0]
@@ -199,9 +214,7 @@ class Subspace:
 
     def member_ints(self) -> np.ndarray:
         """All 2**dim member words as a sorted numpy array."""
-        members = np.zeros(1, dtype=np.int64)
-        for b in self.basis.row_ints():
-            members = np.concatenate([members, members ^ b])
+        members = linear_index(self.dim, self.basis.row_ints())
         members.sort()
         return members
 

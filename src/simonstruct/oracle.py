@@ -19,7 +19,7 @@ import numpy as np
 from .boolfn import MultiTruthTable, TruthTable, autocorr_values
 from .gf2 import MAX_DIMENSION, BitVector, Subspace, span_of
 from .rng import as_rng
-from .walsh import xor_permute
+from .walsh import EXACT_FLOAT_BOUND, factored, xor_permute
 
 __all__ = [
     "AutocorrSpectrum",
@@ -133,18 +133,29 @@ def brute_structures(f: TruthTable, cap: int = MAX_DIMENSION) -> StructureSets:
 
 
 def brute_periods(F: MultiTruthTable) -> Subspace:
-    """Exact period span of a multi-output function.
+    """Exact period span of a multi-output function, from one summed spectrum.
 
-    A shift fixes F everywhere iff it is a zero-constant structure of
-    every output bit, so the period set is the intersection of the
-    per-bit structure subspaces, read off their spectra one output bit at
-    a time so that peak memory does not grow with m_out.
+    s is a period iff it is a zero-constant structure of every output bit j,
+    i.e. iff sum_j A_j(s) = m_out * 2**n, as each A_j(s) <= 2**n.  Since
+    sum_j A_j = H(sum_j W_j**2) / 2**n, each bit's squared spectrum goes into
+    one accumulator transformed once: m_out + 1 transforms, memory flat in
+    m_out.  The +-1/2 signs give W_j / 2, an integer (W_j = 2**n - 2 wt is
+    even), so s is a period iff its sum is m_out * 4**(n-1).  Every value is
+    an integer at most that total, <= 63 * 2**46 < 2**53: float64 is exact.
     """
     size = 1 << F.n
-    mask = np.ones(size, dtype=bool)
+    target = F.m_out * (size * size >> 2)
+    if target >= EXACT_FLOAT_BOUND:
+        raise ValueError(f"summed period spectrum {target} passes the float64 exact bound 2**53")
+    total = np.zeros(size)
+    signs, spare = np.empty(size), np.empty(size)
     for j in range(F.m_out):
-        mask &= autocorr_values((F.table >> j) & 1) == size
-    return _subspace_from_members(np.nonzero(mask)[0], F.n)
+        np.subtract(0.5, (F.table >> j) & 1, out=signs)
+        signs, spare = factored(signs, spare)
+        signs *= signs
+        total += signs
+    sums = factored(total, spare)[0]
+    return _subspace_from_members(np.flatnonzero(sums == target), F.n)
 
 
 def _violations(spectrum: AutocorrSpectrum) -> tuple[np.ndarray, np.ndarray]:

@@ -69,16 +69,6 @@ def q(n: int, i: int) -> float:
     return float(q_exact(n, i))
 
 
-def _direct_check_caps(n: int, i: int) -> None:
-    if n < 1 or i < 0:
-        raise ValueError("need n >= 1 and i >= 0")
-    if n > DIRECT_N_CAP or i > DIRECT_I_CAP:
-        raise ValueError(
-            f"brute-force route capped at n <= {DIRECT_N_CAP}, "
-            f"i <= {DIRECT_I_CAP}"
-        )
-
-
 def q_direct(n: int, i: int) -> Fraction:
     """Excess-draw factor by brute force, exact: entry i of :func:`q_direct_row`.
 
@@ -97,7 +87,10 @@ def q_direct_row(n: int, i_max: int) -> list[Fraction]:
     to every total i >= p, the last coordinate taking the remainder.  One
     sweep over prefixes therefore yields the whole row.
     """
-    _direct_check_caps(n, i_max)
+    if n < 1 or i_max < 0:
+        raise ValueError("need n >= 1 and i >= 0")
+    if n > DIRECT_N_CAP or i_max > DIRECT_I_CAP:
+        raise ValueError(f"brute-force route capped at n <= {DIRECT_N_CAP}, i <= {DIRECT_I_CAP}")
     # counts[p][t]: prefixes x_0..x_{n-1} with sum p and exponent t
     counts = [[0] * (n * i_max + 1) for _ in range(i_max + 1)]
 

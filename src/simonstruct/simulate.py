@@ -32,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import MultiTruthTable
-from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rref_array, null_space_basis
+from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rref_array, linear_index, null_space_basis
 from .rng import as_rng
-from .walsh import parity, walsh_hadamard
+from .walsh import factored
 
 __all__ = [
     "CollapseOutcome",
@@ -83,10 +83,11 @@ class SpanLaw:
             coords = np.zeros(size, dtype=np.int64)
             for j, b in enumerate(basis):
                 coords |= ((offsets >> ((b & -b).bit_length() - 1)) & 1) << j
-        indicator = np.zeros(1 << r, dtype=np.int64)
-        indicator[coords] = 1
-        w = walsh_hadamard(indicator)
-        w *= w
+        # sum |x| = |S| <= 2**24, W'**2 <= |S| * 2**r <= 2**48 (checked above): float64 is exact
+        indicator = np.zeros(1 << r)
+        indicator[coords] = 1.0
+        w = factored(indicator, np.empty_like(indicator))[0]
+        w = np.square(w, out=w).astype(np.int64)
         np.cumsum(w, out=w)
         assert int(w[-1]) == size << r, "Parseval: the reduced weights sum to |S| * 2**r"
         w.flags.writeable = False
@@ -109,12 +110,10 @@ class SpanLaw:
         return np.diff(self.cumulative, prepend=0)
 
     def full_weights(self) -> np.ndarray:
-        """W(y) for every y in [0, 2**n), expanded from the reduced law."""
-        y = np.arange(1 << self.n, dtype=np.int64)
-        z = np.zeros_like(y)
-        for j, b in enumerate(self.basis):
-            z |= parity(y & b).astype(np.int64) << j
-        return self.reduced_weights()[z]
+        """W(y) for every y in [0, 2**n): W'(z(y)), where z(y) = sum_j (b_j . y) << j
+        is GF(2)-linear in y, bit j of unit word k's image being bit k of b_j."""
+        images = [sum(((b >> k) & 1) << j for j, b in enumerate(self.basis)) for k in range(self.n)]
+        return self.reduced_weights()[linear_index(self.n, images)]
 
     def draw(self, rng: np.random.Generator) -> int:
         """One y: z by inverse cumulative lookup, then y uniform over its fiber."""

@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["walsh_hadamard", "mobius_transform", "xor_permute", "parity"]
+__all__ = ["walsh_hadamard", "mobius_transform", "xor_permute"]
 
 EXACT_FLOAT_BOUND = 1 << 53
 HADAMARD = ((1.0, 1.0), (1.0, -1.0))
@@ -91,9 +91,3 @@ def xor_permute(table: np.ndarray, shift: int) -> np.ndarray:
         raise ValueError("shift out of range for table length")
     idx = np.arange(size) ^ shift
     return table[..., idx]
-
-
-def parity(values: np.ndarray) -> np.ndarray:
-    """Bitwise parity (popcount mod 2) of each entry of an integer array."""
-    arr = np.asarray(values)
-    return (np.bitwise_count(arr) & 1).astype(np.uint8)

@@ -2,12 +2,16 @@
 
 Everything here recomputes quantities straight from their definitions and
 avoids the library's fast paths, so a transform bug cannot hide by sitting
-on both sides of an assertion.
+on both sides of an assertion.  The exceptions keep a computation the
+package replaced (brute_periods_def, coset_index_def, full_weights_def), so
+a rewrite is checked against the code it stands in for.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from simonstruct.boolfn import autocorr_values
 
 
 def popcount(x: int) -> int:
@@ -93,6 +97,43 @@ def period_set_def(table) -> set[int]:
     t = np.asarray(table)
     size = t.size
     return {a for a in range(size) if all(t[x] == t[x ^ a] for x in range(size))}
+
+
+def brute_periods_def(F) -> np.ndarray:
+    """Sorted period words as the intersection of the per-bit structure sets,
+    one autocorrelation (two transforms) per output bit: the package's
+    period oracle before the summed spectrum."""
+    size = 1 << F.n
+    mask = np.ones(size, dtype=bool)
+    for j in range(F.m_out):
+        mask &= autocorr_values((F.table >> j) & 1) == size
+    return np.nonzero(mask)[0]
+
+
+def coset_index_def(n: int, basis) -> tuple[np.ndarray, int]:
+    """Coset index of every x by full-table passes: reduce x by each RREF row
+    in turn, then pack the free coordinates one column at a time."""
+    x = np.arange(1 << n, dtype=np.int64)
+    rows = basis.basis.row_ints()
+    for row in rows:
+        pivot = (row & -row).bit_length() - 1
+        x = np.where((x >> pivot) & 1 == 1, x ^ row, x)
+    pivot_cols = {(r & -r).bit_length() - 1 for r in rows}
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+    packed = np.zeros(1 << n, dtype=np.int64)
+    for j, c in enumerate(free_cols):
+        packed |= ((x >> c) & 1) << j
+    return packed, len(free_cols)
+
+
+def full_weights_def(law) -> np.ndarray:
+    """W(y) for every y: z(y) bit by bit from the parity of b_j & y, one
+    full-table pass per basis row."""
+    y = np.arange(1 << law.n, dtype=np.int64)
+    z = np.zeros_like(y)
+    for j, b in enumerate(law.basis):
+        z |= (np.bitwise_count(y & b).astype(np.int64) & 1) << j
+    return law.reduced_weights()[z]
 
 
 def bit_rows_def(words, width: int) -> str:

@@ -8,6 +8,7 @@ from simonstruct.boolfn import (
     MultiTruthTable,
     PlantSpec,
     TruthTable,
+    _coset_index,
     anf_of,
     autocorr_values,
     derivative,
@@ -27,7 +28,7 @@ from simonstruct.boolfn import (
 from simonstruct.gf2 import BitVector, span_equal, span_of
 from simonstruct.oracle import brute_periods, brute_structures
 
-from _oracles import autocorr_def, bit_rows_def, span_set, structure_sets_def
+from _oracles import autocorr_def, bit_rows_def, coset_index_def, span_set, structure_sets_def
 
 
 def random_table(n, rng):
@@ -134,6 +135,44 @@ def test_plant_structure_sets_exact_span():
         f = plant_structure(PlantSpec(n, basis, seed=1000 + trial))
         u0, _ = structure_sets_def(f.table)
         assert u0 == span_set(basis.basis.row_ints())
+
+
+def _every_subspace(n):
+    """Each subspace of GF(2)^n once, grown one word at a time from {0}."""
+    found = {(): span_of(n, [])}
+    frontier = [()]
+    while frontier:
+        grown = []
+        for rows in frontier:
+            for v in range(1, 1 << n):
+                sub = span_of(n, [*rows, v])
+                key = tuple(sub.basis.row_ints())
+                if key not in found:
+                    found[key] = sub
+                    grown.append(key)
+        frontier = grown
+    return list(found.values())
+
+
+def test_coset_index_matches_the_reduce_and_pack_reference():
+    # counts are the sums of Gaussian binomials: every subspace for n <= 5
+    for n, count in ((1, 2), (2, 5), (3, 16), (4, 67), (5, 374)):
+        subspaces = _every_subspace(n)
+        assert len(subspaces) == count
+        for basis in subspaces:
+            idx, free = _coset_index(n, basis)
+            want, want_free = coset_index_def(n, basis)
+            assert free == want_free and np.array_equal(idx, want)
+    rng = np.random.default_rng(26)
+    for n in (12, 20):
+        for dim in (0, 1, 3, n // 2):
+            while True:
+                basis = span_of(n, [int(v) for v in rng.integers(1, 1 << n, size=dim)])
+                if basis.dim == dim:
+                    break
+            idx, free = _coset_index(n, basis)
+            want, want_free = coset_index_def(n, basis)
+            assert free == want_free == n - dim and np.array_equal(idx, want)
 
 
 def test_plant_structure_reproducible():

@@ -10,6 +10,7 @@ from simonstruct.gf2 import (
     BitVector,
     SpanTracker,
     Subspace,
+    linear_index,
     null_space_basis,
     rank,
     span_equal,
@@ -187,3 +188,21 @@ def test_empty_span_edge_cases():
     assert not s.contains(BitVector(6, 1))
     full = null_space_basis(BitMatrix(6, ()))
     assert full.dim == 6
+
+
+def test_linear_index_is_the_xor_of_the_images_of_set_bits():
+    rng = np.random.default_rng(8)
+    for n in range(9):
+        images = [int(v) for v in rng.integers(0, 1 << 40, size=n)]
+        out = linear_index(n, images)
+        assert out.dtype == np.int64 and out.size == 1 << n
+        want = []
+        for x in range(1 << n):
+            acc = 0
+            for k in range(n):
+                if (x >> k) & 1:
+                    acc ^= images[k]
+            want.append(acc)
+        assert out.tolist() == want
+    with pytest.raises(ValueError, match="needs 3 images"):
+        linear_index(3, [1, 2])

@@ -1,12 +1,14 @@
 """Exhaustive structure analysis against definition-level scans."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from simonstruct import oracle
 from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_periods, plant_r_type, plant_structure
-from simonstruct.gf2 import BitVector, span_of
+from simonstruct.gf2 import MAX_DIMENSION, BitVector, span_of
 from simonstruct.oracle import (
     AutocorrSpectrum,
     _subspace_from_members,
@@ -19,7 +21,7 @@ from simonstruct.oracle import (
     violation_points,
 )
 
-from _oracles import autocorr_def, period_set_def, span_set, structure_sets_def, violations_def
+from _oracles import autocorr_def, brute_periods_def, period_set_def, span_set, structure_sets_def, violations_def
 
 
 def random_table(n, rng):
@@ -112,8 +114,62 @@ def test_brute_periods_matches_definition_for_every_small_table():
     for n, m_out in ((2, 2), (3, 1)):
         for words in itertools.product(range(1 << m_out), repeat=1 << n):
             F = MultiTruthTable(n, m_out, words)
-            span = brute_periods(F)
-            assert set(span.member_ints().tolist()) == period_set_def(F.table)
+            members = brute_periods(F).member_ints()
+            assert set(members.tolist()) == period_set_def(F.table)
+            assert np.array_equal(members, brute_periods_def(F))
+
+
+def test_summed_spectrum_equals_the_per_bit_intersection():
+    # all 65,536 (3, 2) tables would take about 9 s, so a seeded 2,000 of them
+    rng = np.random.default_rng(33)
+    for _ in range(2000):
+        F = MultiTruthTable(3, 2, rng.integers(0, 4, size=8))
+        assert np.array_equal(brute_periods(F).member_ints(), brute_periods_def(F))
+    for trial in range(12):
+        n = 4 + trial % 9
+        basis = span_of(n, [int(v) for v in rng.integers(1, 1 << n, size=1 + trial % 3)])
+        if basis.dim:
+            F = plant_periods(n, basis, seed=trial)
+            assert np.array_equal(brute_periods(F).member_ints(), brute_periods_def(F))
+    # the widest output word, with and without periods
+    for n in (6, 10):
+        wide = MultiTruthTable(n, 63, rng.integers(0, 1 << 63, size=1 << n))
+        assert np.array_equal(brute_periods(wide).member_ints(), brute_periods_def(wide))
+        x = np.arange(1 << n)
+        # bits 0..61 are constant on the cosets of span(x_1, x_2), bit 62 only on those of x_1
+        low = rng.integers(0, 1 << 62, size=1 << (n - 2))[x >> 2]
+        for top, want in ((0, [1, 2]), (rng.integers(0, 2, size=1 << (n - 1))[x >> 1], [1])):
+            F = MultiTruthTable(n, 63, low | top << 62)
+            assert brute_periods(F).basis.row_ints() == want
+            assert np.array_equal(brute_periods(F).member_ints(), brute_periods_def(F))
+
+
+def test_brute_periods_runs_one_transform_per_bit_and_one_inverse(monkeypatch):
+    calls = []
+    real = oracle.factored
+
+    def counted(src, spare, *args):
+        calls.append(src.shape)
+        return real(src, spare, *args)
+
+    monkeypatch.setattr(oracle, "factored", counted)
+    for n, m_out in ((1, 1), (5, 3), (9, 63)):
+        calls.clear()
+        brute_periods(MultiTruthTable(n, m_out, np.zeros(1 << n, dtype=np.int64)))
+        assert calls == [(1 << n,)] * (m_out + 1)
+
+
+def test_summed_spectrum_bound_holds_for_every_legal_table(monkeypatch):
+    # n = 24 and 63 outputs is the largest legal table: its total fits float64
+    assert 63 * 4 ** (MAX_DIMENSION - 1) < 2**53
+    # one dimension more would not, and the check fires before any transform
+    def no_transform(*args):
+        raise AssertionError("the bound is checked before transforming")
+
+    monkeypatch.setattr(oracle, "factored", no_transform)
+    too_wide = SimpleNamespace(n=MAX_DIMENSION + 1, m_out=63, table=None)
+    with pytest.raises(ValueError, match="exact bound"):
+        brute_periods(too_wide)
 
 
 def test_subspace_from_members_checks_closure():

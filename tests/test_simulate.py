@@ -18,7 +18,7 @@ from simonstruct.simulate import (
     y_distribution,
 )
 
-from _oracles import popcount, slow_walsh, span_set, structure_sets_def
+from _oracles import full_weights_def, popcount, slow_walsh, span_set, structure_sets_def
 
 
 def random_table(n, rng):
@@ -283,6 +283,27 @@ def test_reduced_law_equals_the_full_table_definition():
             want = next(o for o in outcomes if o.observed == got.observed)
             assert got.survivors.tolist() == want.survivors.tolist()
     assert checked > 40000
+
+
+def test_full_weights_equal_the_parity_expansion():
+    # every law at n <= 3 with anchor lists of length <= 1, as in the test above
+    for n in (1, 2, 3):
+        size = 1 << n
+        for code in range(1 << size):
+            f = TruthTable(n, [(code >> i) & 1 for i in range(size)])
+            for bits in [()] + [(b,) for b in range(size)]:
+                for out in _reachable_outcomes(f, [BitVector(n, b) for b in bits]):
+                    law = out.weights()
+                    assert np.array_equal(law.full_weights(), full_weights_def(law))
+    # planted spans up to n = 12 keep r below n, so z(y) mixes several bits of y
+    rng = np.random.default_rng(0x5C)
+    for trial in range(30):
+        n = int(rng.integers(4, 13))
+        basis = span_of(n, [int(v) for v in rng.integers(1, 1 << n, size=int(rng.integers(0, 3)))])
+        f = plant_structure(PlantSpec(n, basis, seed=trial))
+        anchors = [BitVector(n, int(v)) for v in rng.integers(0, 1 << n, size=int(rng.integers(0, n + 1)))]
+        law = collapse(f, anchors, seed=trial).weights()
+        assert np.array_equal(law.full_weights(), full_weights_def(law))
 
 
 def test_collapse_by_value_law_equals_the_definition():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from simonstruct.boolfn import autocorr_values
-from simonstruct.walsh import _factor_bits, mobius_transform, parity, walsh_hadamard, xor_permute
+from simonstruct.walsh import _factor_bits, mobius_transform, walsh_hadamard, xor_permute
 
-from _oracles import butterfly_def, popcount, slow_mobius, slow_walsh
+from _oracles import butterfly_def, slow_mobius, slow_walsh
 
 
 def every_table(n):
@@ -173,9 +173,3 @@ def test_xor_permute_last_axis_of_stack():
     for i in range(3):
         assert np.array_equal(out[i], xor_permute(block[i], 5))
 
-
-def test_parity_matches_popcount():
-    words = np.arange(512)
-    expect = np.array([popcount(x) % 2 for x in words], dtype=np.uint8)
-    assert np.array_equal(parity(words), expect)
-    assert np.array_equal(parity(np.array([0, (1 << 40) + 3])), [0, 1])
