@@ -13,12 +13,12 @@ from simonstruct import (
     p_full_exact,
     prob_table,
     pseudo_confirm_prob,
-    q_direct,
     q_exact,
     rank_success_rate,
     required_trials,
-    success_prob,
+    success_prob_exact,
 )
+from simonstruct.probmodel import q_direct_row
 
 n = 8
 print(f"probability that {n} uniform words are already independent:"
@@ -26,7 +26,7 @@ print(f"probability that {n} uniform words are already independent:"
 
 print("\nwasted-round correction q(n, i), recurrence vs direct sum:")
 for i in range(5):
-    a, b = q_exact(4, i), q_direct(4, i)
+    a, b = q_exact(4, i), q_direct_row(4, i)[i]
     print(f"  i={i}:  {a}  ==  {b}  ({a == b})")
 
 print(f"\nsuccess probability by total draws k (n = {n}):")
@@ -38,7 +38,7 @@ for k, s, h in table.rows:
         print(f"  {k:>2}   {s:.6f}   {h:>10.3f}     {mc:.4f}")
 
 # eight extra rounds push failure below one percent of the ceiling
-s8 = success_prob(n, n + 8)
+s8 = float(success_prob_exact(n, n + 8))
 print(f"\ns(n, n+8) = {s8:.6f} > 0.99 * (1 - 2^-8) = {0.99 * (1 - 2**-8):.6f}")
 
 # how expensive is catching a pseudo structure by random checks alone

@@ -50,16 +50,12 @@ from .oracle import (
 from .probmodel import (
     ProbTable,
     TrialsBound,
-    p_full,
     p_full_exact,
     prob_table,
     pseudo_confirm_prob,
-    q,
-    q_direct,
     q_exact,
     rank_success_rate,
     required_trials,
-    success_prob,
     success_prob_exact,
 )
 from .recover import (

@@ -196,25 +196,33 @@ def _coset_index(n: int, basis: Subspace) -> tuple[np.ndarray, int]:
     return linear_index(n, images), len(free_cols)
 
 
-def autocorr_values(table: np.ndarray) -> np.ndarray:
-    """Exact int64 autocorrelation of 0/1 tables along the last axis.
+def autocorr_values(words: np.ndarray) -> np.ndarray:
+    """Exact int64 autocorrelation along the last axis, summed over output bits.
 
-    Entry a is sum_x (-1)^(f(x) ^ f(x ^ a)): transform the +-1 signs in
-    float64, square in place, transform back and divide by 2**n into the
-    free buffer as int64.  By Parseval the squares sum to 4**n, so every
-    partial sum is an integer below 2**53 for n <= 26, hence exact.
+    Entry a is sum_j sum_x (-1)^(f_j(x) ^ f_j(x ^ a)) over the bits j < m of
+    the largest word (m = 1 for 0/1 tables), i.e. H(sum_j W_j**2) / 2**n.
+    Each bit's +-1/2 signs transform in float64 to W_j / 2, an integer (W_j =
+    2**n - 2 wt is even); square, add, transform the sum once and scale by
+    4 / 2**n into the free buffer as int64.  By Parseval the sum, m * 4**(n-1),
+    bounds every partial sum: exact below 2**53 (n <= 27 for one bit, every
+    legal table: 63 * 2**46) and refused from there on.
     """
-    table = np.asarray(table)
-    size = table.shape[-1]
-    if size * size >= EXACT_FLOAT_BOUND:
-        raise ValueError(f"autocorrelation of {size} entries passes the float64 exact bound 2**53")
-    signs = np.multiply(table, -2.0, dtype=np.float64)
-    signs += 1.0
-    spectrum, spare = factored(signs, np.empty_like(signs))
-    spectrum *= spectrum
-    spectrum, spare = factored(spectrum, spare)
+    words = np.asarray(words)
+    size = words.shape[-1]
+    m = max(1, int(words.max(initial=0)).bit_length())
+    if m * size * size >= 4 * EXACT_FLOAT_BOUND:
+        raise ValueError(f"{m}-bit autocorrelation of {size} entries passes the float64 exact bound")
+    signs, spare = np.empty(words.shape), np.empty(words.shape)
+    total = np.zeros(words.shape) if m > 1 else None  # a third buffer only for several bits
+    for j in range(m):
+        np.subtract(0.5, words if m == 1 else (words >> j) & 1, out=signs)
+        signs, spare = factored(signs, spare)
+        signs *= signs
+        if total is not None:
+            total += signs
+    sums, spare = factored(signs if total is None else total, spare)
     out = spare.view(np.int64)
-    np.multiply(spectrum, 1.0 / size, out=out, casting="unsafe")
+    np.multiply(sums, 4.0 / size, out=out, casting="unsafe")
     return out
 
 

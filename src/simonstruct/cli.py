@@ -37,13 +37,7 @@ from .boolfn import (
 )
 from .gf2 import MAX_DIMENSION, BitVector, span_equal, span_of
 from .oracle import _r_type_hits, _structure_sets, _violations, autocorrelation, brute_periods
-from .probmodel import (
-    prob_table,
-    q_direct_row,
-    q_exact,
-    rank_success_rate,
-    success_prob,
-)
+from .probmodel import prob_table, q_direct_row, q_exact, rank_success_rate, success_prob_exact
 from .recover import (
     RunConfig,
     _independent_anchors,
@@ -63,6 +57,24 @@ def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text()
+
+
+def _read_table(path: str, multi: bool = False):
+    """The one-output table in a file, or with `multi` the multi-output one that
+    find --mode periods reads; a file of the other layout is refused by name."""
+    text = _read_text(path)
+    parsers = (parse_truth_table, parse_multi_truth_table)
+    try:
+        return parsers[multi](text)
+    except ValueError as exc:
+        try:
+            parsers[not multi](text)
+        except ValueError:
+            raise exc from None
+    one, many = "a one-output table (one line of bits)", "a multi-output table (one line per input)"
+    if multi:
+        raise ValueError(f"found {one}; find --mode periods needs {many}")
+    raise ValueError(f"found {many}, which only find --mode periods reads; this command needs {one}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -92,7 +104,7 @@ def cmd_find(args) -> int:
         rounds_cap=args.rounds_cap, verify_p=args.verify_p, seed=args.seed
     )
     if args.mode == "periods":
-        F = parse_multi_truth_table(_read_text(args.f))
+        F = _read_table(args.f, multi=True)
         rep = find_periods(F, cfg)
         doc = {
             "mode": "periods",
@@ -111,7 +123,7 @@ def cmd_find(args) -> int:
         _emit(_json_doc(doc), args.out)
         return 1 if failed else 0
 
-    f = parse_truth_table(_read_text(args.f))
+    f = _read_table(args.f)
     run = find_structure_simple if args.mode == "simple" else find_structure_iterative
     rep = run(f, cfg, oracle_check=args.oracle_check)
     doc = {
@@ -139,7 +151,7 @@ def cmd_find(args) -> int:
 def cmd_sample(args) -> int:
     if args.rounds < 1:
         raise ValueError("--rounds must be at least 1")
-    f = parse_truth_table(_read_text(args.f))
+    f = _read_table(args.f)
     rng = as_rng(args.seed)
     if args.anchors.startswith("random:"):
         anchors = _independent_anchors(f.n, int(args.anchors.split(":", 1)[1]), rng)
@@ -183,7 +195,7 @@ def cmd_sample(args) -> int:
 def cmd_oracle(args) -> int:
     if args.format == "csv" and args.scan_r is not None:
         raise ValueError("--scan-r is JSON only; the CSV violations column covers every shift")
-    f = parse_truth_table(_read_text(args.f))
+    f = _read_table(args.f)
     spectrum = autocorrelation(f)
     # the closure and coset checks guard both output formats
     sets = _structure_sets(spectrum)
@@ -237,7 +249,7 @@ def cmd_prob(args) -> int:
             for k in range(n, n + 9):
                 trials = 10000
                 rate = rank_success_rate(n, k, trials, rng)
-                exact = success_prob(n, k)
+                exact = float(success_prob_exact(n, k))
                 se = (exact * (1 - exact) / trials) ** 0.5
                 within = abs(rate - exact) <= 3 * se
                 ok &= within
@@ -390,7 +402,7 @@ def cmd_plant(args) -> int:
     if args.kind == "rtype":
         if not args.f:
             raise ValueError("--kind rtype needs --f <base table>")
-        base = parse_truth_table(_read_text(args.f))
+        base = _read_table(args.f)
         flipped = plant_r_type(base, args.r, _child_seed(rng))
         _emit(format_truth_table(flipped), args.out)
         if args.out:
@@ -552,7 +564,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=12)
     p.add_argument("--n-max", type=int, default=16)
     p.add_argument("--repeat", type=int, default=3, help="timing repetitions, best kept")
-    p.add_argument("--format", choices=("csv",), default="csv", help="artifact format")
     p.add_argument(
         "--check",
         action="store_true",

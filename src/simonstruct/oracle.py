@@ -4,9 +4,10 @@ A word a is a linear structure of f when f(x ^ a) ^ f(x) is the same
 constant c for every x.  The c = 0 words form a subspace; the c = 1 words
 are either empty or a single coset of it.  Both sets are read off the
 autocorrelation spectrum, which hits +-2**n exactly on structures.  The
-spectrum comes from :func:`boolfn.autocorr_values`, the one kernel for it;
-the readers of a spectrum take an :class:`AutocorrSpectrum`, so a caller
-that needs several of them computes it once.
+spectrum comes from :func:`boolfn.autocorr_values`, the one kernel for it,
+whose sum over output bits also gives the period sets; the readers of a
+spectrum take an :class:`AutocorrSpectrum`, so a caller that needs several
+of them computes it once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .boolfn import MultiTruthTable, TruthTable, autocorr_values
 from .gf2 import MAX_DIMENSION, BitVector, Subspace, span_of
 from .rng import as_rng
-from .walsh import EXACT_FLOAT_BOUND, factored, xor_permute
+from .walsh import xor_permute
 
 __all__ = [
     "AutocorrSpectrum",
@@ -81,10 +82,7 @@ class VerifyResult:
 
 
 def autocorrelation(f: TruthTable) -> AutocorrSpectrum:
-    """Autocorrelation spectrum in O(n * 2**n) via two transforms.
-
-    Computed exactly by :func:`boolfn.autocorr_values`, one float64 kernel.
-    """
+    """Autocorrelation spectrum, computed exactly by :func:`boolfn.autocorr_values`."""
     return AutocorrSpectrum(f.n, autocorr_values(f.table))
 
 
@@ -133,29 +131,16 @@ def brute_structures(f: TruthTable, cap: int = MAX_DIMENSION) -> StructureSets:
 
 
 def brute_periods(F: MultiTruthTable) -> Subspace:
-    """Exact period span of a multi-output function, from one summed spectrum.
+    """Exact period span of a multi-output function, from the summed spectrum.
 
-    s is a period iff it is a zero-constant structure of every output bit j,
-    i.e. iff sum_j A_j(s) = m_out * 2**n, as each A_j(s) <= 2**n.  Since
-    sum_j A_j = H(sum_j W_j**2) / 2**n, each bit's squared spectrum goes into
-    one accumulator transformed once: m_out + 1 transforms, memory flat in
-    m_out.  The +-1/2 signs give W_j / 2, an integer (W_j = 2**n - 2 wt is
-    even), so s is a period iff its sum is m_out * 4**(n-1).  Every value is
-    an integer at most that total, <= 63 * 2**46 < 2**53: float64 is exact.
+    s is a period iff it is a zero-constant structure of every output bit,
+    i.e. iff the autocorrelation summed over the bits equals its entry 0,
+    the maximum: each bit's term is at most 2**n, with equality at 0.  The
+    kernel skips top bits that are always 0, each of which would add the
+    same 2**n to every entry, so the test is unchanged.
     """
-    size = 1 << F.n
-    target = F.m_out * (size * size >> 2)
-    if target >= EXACT_FLOAT_BOUND:
-        raise ValueError(f"summed period spectrum {target} passes the float64 exact bound 2**53")
-    total = np.zeros(size)
-    signs, spare = np.empty(size), np.empty(size)
-    for j in range(F.m_out):
-        np.subtract(0.5, (F.table >> j) & 1, out=signs)
-        signs, spare = factored(signs, spare)
-        signs *= signs
-        total += signs
-    sums = factored(total, spare)[0]
-    return _subspace_from_members(np.flatnonzero(sums == target), F.n)
+    sums = autocorr_values(F.table)
+    return _subspace_from_members(np.flatnonzero(sums == sums[0]), F.n)
 
 
 def _violations(spectrum: AutocorrSpectrum) -> tuple[np.ndarray, np.ndarray]:

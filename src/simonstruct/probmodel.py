@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf2 import SpanTracker
+from .gf2 import SpanTracker, _check_dim
 from .rng import as_rng
 
 # brute-force composition enumeration blows up past these
@@ -32,19 +32,13 @@ DIRECT_I_CAP = 12
 def p_full_exact(n: int) -> Fraction:
     """Exact probability that n uniform vectors from F_2^n are independent.
 
-    Equals the product of (1 - 2^-i) for i = 1..n.
+    Equals the product of (1 - 2^-i) for i = 1..n, n within the dimension cap.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_dim(n)
     out = Fraction(1)
     for i in range(1, n + 1):
         out *= 1 - Fraction(1, 1 << i)
     return out
-
-
-def p_full(n: int) -> float:
-    """Float view of :func:`p_full_exact`."""
-    return float(p_full_exact(n))
 
 
 @lru_cache(maxsize=None)
@@ -52,11 +46,11 @@ def q_exact(n: int, i: int) -> Fraction:
     """Excess-draw factor by recurrence, exact.
 
     q(n, i) = sum over m = 0..i of 2^-m * q(n-1, m), with the closed base
-    q(1, i) = 2 - 2^-i.  Memoized, so concurrent readers see consistent
-    values.
+    q(1, i) = 2 - 2^-i.  Memoized; the dimension cap on n bounds the recursion.
     """
-    if n < 1 or i < 0:
-        raise ValueError("need n >= 1 and i >= 0")
+    _check_dim(n)
+    if i < 0:
+        raise ValueError("need i >= 0")
     if n == 1:
         return 2 - Fraction(1, 1 << i)
     return sum(
@@ -64,25 +58,12 @@ def q_exact(n: int, i: int) -> Fraction:
     )
 
 
-def q(n: int, i: int) -> float:
-    """Float view of :func:`q_exact`."""
-    return float(q_exact(n, i))
-
-
-def q_direct(n: int, i: int) -> Fraction:
-    """Excess-draw factor by brute force, exact: entry i of :func:`q_direct_row`.
-
-    Sums 2^-(sum_j (n-j)*x_j) over every composition x_0 + ... + x_n = i
-    of nonnegative integers.  Independent of the recurrence route; used to
-    validate it.
-    """
-    return q_direct_row(n, i)[i]
-
-
 def q_direct_row(n: int, i_max: int) -> list[Fraction]:
     """Brute-force q(n, i) for every i = 0..i_max in one enumeration.
 
-    The weight-zero last coordinate means a composition's summand depends
+    q(n, i) sums 2^-(sum_j (n-j)*x_j) over every composition x_0 + ... +
+    x_n = i of nonnegative integers, independent of the recurrence route
+    and used to validate it.  The weight-zero last coordinate means a composition's summand depends
     only on x_0..x_{n-1}; each prefix with sum p contributes the same term
     to every total i >= p, the last coordinate taking the remainder.  One
     sweep over prefixes therefore yields the whole row.
@@ -117,11 +98,6 @@ def success_prob_exact(n: int, k: int) -> Fraction:
     if k < n:
         raise ValueError("need k >= n draws to reach full rank")
     return p_full_exact(n) * q_exact(n, k - n)
-
-
-def success_prob(n: int, k: int) -> float:
-    """Float view of :func:`success_prob_exact`."""
-    return float(success_prob_exact(n, k))
 
 
 def _log2_fraction(x: Fraction) -> float:
@@ -205,7 +181,7 @@ def rank_success_rate(
 ) -> float:
     """Measured fraction of k-draw batches reaching full rank.
 
-    Monte Carlo bridge for :func:`success_prob`: draws k uniform vectors
+    Monte Carlo bridge for :func:`success_prob_exact`: draws k uniform vectors
     from F_2^n per trial and checks their span.
     """
     if trials < 1:

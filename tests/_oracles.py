@@ -71,6 +71,14 @@ def autocorr_def(table, alpha: int) -> int:
     return total
 
 
+def summed_autocorr_def(words) -> list[int]:
+    """autocorr_def summed over the output bits j below the largest word's bit
+    length (bit 0 alone for an all-zero table), one bit table at a time."""
+    t = np.asarray(words, dtype=np.int64)
+    bits = range(max(1, int(t.max()).bit_length()))
+    return [sum(autocorr_def((t >> j) & 1, a) for j in bits) for a in range(t.size)]
+
+
 def structure_sets_def(table) -> tuple[set[int], set[int]]:
     """(u0, u1) membership by scanning every shift against every input."""
     t = np.asarray(table)

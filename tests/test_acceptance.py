@@ -34,7 +34,7 @@ from simonstruct.probmodel import (
     q_direct_row,
     q_exact,
     rank_success_rate,
-    success_prob,
+    success_prob_exact,
 )
 from simonstruct.recover import (
     RunConfig,
@@ -96,9 +96,9 @@ def test_criterion_02_success_curve_shape(announce):
         h_vals = [h for _, _, h in table.rows]
         shape_ok &= all(a < b for a, b in zip(s_vals, s_vals[1:]))
         shape_ok &= all(a > b for a, b in zip(h_vals, h_vals[1:]))
-        shape_ok &= success_prob(n, n + 8) > 0.99 * (1 - 2.0**-8)
+        shape_ok &= float(success_prob_exact(n, n + 8)) > 0.99 * (1 - 2.0**-8)
         k = n + 2
-        expect = success_prob(n, k)
+        expect = float(success_prob_exact(n, k))
         rate = rank_success_rate(n, k, 10_000, seed=n)
         se = math.sqrt(expect * (1 - expect) / 10_000)
         mc_ok &= abs(rate - expect) <= 3 * se

@@ -232,10 +232,12 @@ def test_flags_are_refused_where_they_are_not_read(workdir):
         (["find", "--verify-p", "0"], "verify_p"),
         (["plant", "--n", "25", "--dim", "1"], "24"),
         (["bench", "--n-max", "25"], "24"),
+        (["prob", "--n", "400"], "24"),
     ],
     ids=[
         "anchors-neg", "rounds-0", "rounds-neg", "repeat-0", "trials-neg", "trials-0", "k-13",
         "rounds-cap-0", "rounds-cap-neg", "verify-p-0", "plant-n-25", "bench-n-max-25",
+        "prob-n-400",
     ],
 )
 def test_bad_counts_exit_2_with_a_message(workdir, capsys, argv, limit):
@@ -245,6 +247,36 @@ def test_bad_counts_exit_2_with_a_message(workdir, capsys, argv, limit):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and limit in err
+
+
+@pytest.mark.parametrize(
+    "argv, found",
+    [
+        (["find", "--f", "F.mtt"], "a multi-output table"),
+        (["find", "--mode", "iterative", "--f", "F.mtt"], "a multi-output table"),
+        (["sample", "--f", "F.mtt"], "a multi-output table"),
+        (["oracle", "--f", "F.mtt"], "a multi-output table"),
+        (["plant", "--kind", "rtype", "--f", "F.mtt"], "a multi-output table"),
+        (["find", "--mode", "periods", "--f", "f.tt"], "a one-output table"),
+    ],
+    ids=["find", "find-iterative", "sample", "oracle", "plant-rtype", "find-periods"],
+)
+def test_a_table_of_the_other_layout_is_named(workdir, capsys, argv, found):
+    argv = [str(workdir / a) if a.endswith("tt") else a for a in argv]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: found {found}") and "find --mode periods" in err
+
+
+def test_a_broken_table_keeps_its_own_message(tmp_path, capsys):
+    # a file that is neither layout is refused with the parser's own message
+    (tmp_path / "bad.tt").write_text("n=2\n0120\n")
+    cases = ((["oracle"], "only 0/1 characters"), (["find", "--mode", "periods"], "need 4 data lines"))
+    for argv, message in cases:
+        assert cli.main([*argv, "--f", str(tmp_path / "bad.tt")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "found" not in err
 
 
 def test_find_passes_rounds_cap_and_verify_p_through(tmp_path, capsys, monkeypatch):
@@ -364,7 +396,7 @@ def test_sat3_needs_input_for_reduce(workdir):
 
 
 def test_bench_runs_small(workdir):
-    r = run_cli("bench", "--n-min", "8", "--n-max", "9", "--repeat", "1", "--format", "csv")
+    r = run_cli("bench", "--n-min", "8", "--n-max", "9", "--repeat", "1")
     assert r.returncode == 0
     lines = r.stdout.splitlines()
     assert lines[1] == "n,spectrum_seconds,find_seconds"

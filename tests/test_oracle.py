@@ -1,13 +1,20 @@
 """Exhaustive structure analysis against definition-level scans."""
 
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from simonstruct import oracle
-from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_periods, plant_r_type, plant_structure
+from simonstruct import boolfn
+from simonstruct.boolfn import (
+    MultiTruthTable,
+    PlantSpec,
+    TruthTable,
+    autocorr_values,
+    plant_periods,
+    plant_r_type,
+    plant_structure,
+)
 from simonstruct.gf2 import MAX_DIMENSION, BitVector, span_of
 from simonstruct.oracle import (
     AutocorrSpectrum,
@@ -21,7 +28,15 @@ from simonstruct.oracle import (
     violation_points,
 )
 
-from _oracles import autocorr_def, brute_periods_def, period_set_def, span_set, structure_sets_def, violations_def
+from _oracles import (
+    autocorr_def,
+    brute_periods_def,
+    period_set_def,
+    span_set,
+    structure_sets_def,
+    summed_autocorr_def,
+    violations_def,
+)
 
 
 def random_table(n, rng):
@@ -146,16 +161,19 @@ def test_summed_spectrum_equals_the_per_bit_intersection():
 
 def test_brute_periods_runs_one_transform_per_bit_and_one_inverse(monkeypatch):
     calls = []
-    real = oracle.factored
+    real = boolfn.factored
 
     def counted(src, spare, *args):
         calls.append(src.shape)
         return real(src, spare, *args)
 
-    monkeypatch.setattr(oracle, "factored", counted)
+    monkeypatch.setattr(boolfn, "factored", counted)
     for n, m_out in ((1, 1), (5, 3), (9, 63)):
+        # the kernel reads as many bits as the largest word has, here all m_out
+        words = np.zeros(1 << n, dtype=np.int64)
+        words[-1] = (1 << m_out) - 1
         calls.clear()
-        brute_periods(MultiTruthTable(n, m_out, np.zeros(1 << n, dtype=np.int64)))
+        brute_periods(MultiTruthTable(n, m_out, words))
         assert calls == [(1 << n,)] * (m_out + 1)
 
 
@@ -166,10 +184,24 @@ def test_summed_spectrum_bound_holds_for_every_legal_table(monkeypatch):
     def no_transform(*args):
         raise AssertionError("the bound is checked before transforming")
 
-    monkeypatch.setattr(oracle, "factored", no_transform)
-    too_wide = SimpleNamespace(n=MAX_DIMENSION + 1, m_out=63, table=None)
+    monkeypatch.setattr(boolfn, "factored", no_transform)
+    too_wide = np.broadcast_to(np.int64(1 << 62), 1 << (MAX_DIMENSION + 1))
     with pytest.raises(ValueError, match="exact bound"):
-        brute_periods(too_wide)
+        autocorr_values(too_wide)
+
+
+def test_summed_kernel_matches_the_per_bit_definition():
+    for n, width in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)):
+        for words in itertools.product(range(1 << width), repeat=1 << n):
+            assert autocorr_values(np.array(words)).tolist() == summed_autocorr_def(words)
+    rng = np.random.default_rng(34)
+    for _ in range(500):
+        words = rng.integers(0, 4, size=8)
+        assert autocorr_values(words).tolist() == summed_autocorr_def(words)
+    # the widest words: n = 6, 63 output bits, the top one set
+    words = rng.integers(0, 1 << 63, size=64)
+    words[5] |= 1 << 62
+    assert autocorr_values(words).tolist() == summed_autocorr_def(words)
 
 
 def test_subspace_from_members_checks_closure():

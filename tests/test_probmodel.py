@@ -7,17 +7,13 @@ import pytest
 
 from simonstruct.probmodel import (
     _log2_fraction,
-    p_full,
     p_full_exact,
     prob_table,
     pseudo_confirm_prob,
-    q,
-    q_direct,
     q_direct_row,
     q_exact,
     rank_success_rate,
     required_trials,
-    success_prob,
     success_prob_exact,
 )
 
@@ -32,7 +28,7 @@ def test_base_case_closed_form():
 def test_recurrence_matches_direct_sum():
     for n in range(1, 5):
         for i in range(7):
-            assert q_exact(n, i) == q_direct(n, i)
+            assert q_exact(n, i) == q_direct_row(n, i)[i]
 
 
 def test_direct_row_does_not_depend_on_its_length():
@@ -48,7 +44,7 @@ def test_known_small_values():
     assert q_exact(2, 2) == Fraction(35, 16)
     assert p_full_exact(1) == Fraction(1, 2)
     assert p_full_exact(2) == Fraction(3, 8)
-    assert p_full(3) == pytest.approx(float(Fraction(21, 64)))
+    assert p_full_exact(3) == Fraction(21, 64)
 
 
 def test_q_grows_toward_the_full_rank_reciprocal():
@@ -70,17 +66,26 @@ def test_success_prob_matches_telescoped_product():
 def test_success_prob_validation_and_float_view():
     with pytest.raises(ValueError):
         success_prob_exact(4, 3)
-    assert success_prob(2, 2) == pytest.approx(0.375)
-    assert success_prob(2, 3) == pytest.approx(0.65625)
+    assert float(success_prob_exact(2, 2)) == 0.375
+    assert float(success_prob_exact(2, 3)) == 0.65625
+
+
+def test_exact_routes_refuse_n_past_the_dimension_cap():
+    # the recurrence is n calls deep: past the cap it would reach Python's recursion limit
+    for call in (lambda: p_full_exact(25), lambda: q_exact(25, 0), lambda: success_prob_exact(400, 400)):
+        with pytest.raises(ValueError, match="1..24"):
+            call()
+    for call in (lambda: p_full_exact(0), lambda: q_exact(0, 1), lambda: q_exact(2, -1)):
+        with pytest.raises(ValueError):
+            call()
+    assert p_full_exact(24) > 0 and q_exact(24, 1) > 1
 
 
 def test_direct_route_caps():
     with pytest.raises(ValueError):
-        q_direct(9, 1)
-    with pytest.raises(ValueError):
-        q_direct(1, 13)
-    with pytest.raises(ValueError):
         q_direct_row(9, 1)
+    with pytest.raises(ValueError):
+        q_direct_row(1, 13)
 
 
 def test_prob_table_shape_and_monotonicity():
@@ -147,8 +152,3 @@ def test_rank_success_rate_against_exhaustive_count():
     assert rank_success_rate(2, 3, trials, seed=1) == rate
     with pytest.raises(ValueError):
         rank_success_rate(2, 3, 0)
-
-
-def test_float_views_track_exact_values():
-    for n, i in [(1, 4), (3, 5), (6, 2)]:
-        assert q(n, i) == pytest.approx(float(q_exact(n, i)), rel=1e-15)

@@ -82,9 +82,10 @@ def test_walsh_refuses_rows_past_the_float64_exact_bound():
         walsh_hadamard(np.array([[1, 2], [top, -top]]))
     # one below the bound is still exact
     assert walsh_hadamard(np.array([top, top - 1])).tolist() == [2 * top - 1, 1]
-    # autocorrelation sums 4**n: refused from n = 27 on, before any buffer is made
+    # one-bit autocorrelation sums 4**(n-1) (the +-1/2 signs): refused from
+    # n = 28 on, before any buffer is made
     with pytest.raises(ValueError):
-        autocorr_values(np.broadcast_to(np.uint8(0), 1 << 27))
+        autocorr_values(np.broadcast_to(np.uint8(0), 1 << 28))
     # the bound holds per row, not over the whole batch
     assert walsh_hadamard(np.array([[top, 1 - top], [-top, top - 1]])).tolist() == [
         [1, 2 * top - 1],
