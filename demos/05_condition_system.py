@@ -26,12 +26,16 @@ from simonstruct import (
 f = parse_anf("x1*x2 + x1*x3 + x2*x3", 3)
 print(f"f = {format_anf(f)}   (n = {f.n})")
 
+
+# a monomial is a packed word: variable v is bit v-1, the word 0 is the constant
+def mono_text(word, var):
+    return "*".join(f"{var}{v + 1}" for v in range(f.n) if word >> v & 1) or "1"
+
+
 print("\nvanishing conditions, one per input monomial:")
 for cond in theorem2_system(f):
-    key = "*".join(f"x{v}" for v in sorted(cond.x_monomial)) or "1"
-    poly = " + ".join(
-        "*".join(f"s{v}" for v in sorted(m)) or "1" for m in sorted(cond.monomials, key=sorted)
-    )
+    key = mono_text(cond.x_monomial, "x")
+    poly = " + ".join(mono_text(m, "s") for m in sorted(cond.monomials))
     print(f"  [{key:>6}]  {poly} = 0")
 
 mask = solution_mask(theorem2_system(f), f.n)

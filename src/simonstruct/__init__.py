@@ -91,7 +91,6 @@ from .symbolic import (
     SymbolicCondition,
     classify_top,
     derivative_anf,
-    lemma1_check,
     solution_mask,
     theorem2_system,
 )

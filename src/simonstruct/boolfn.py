@@ -102,36 +102,31 @@ class TruthTable(MultiTruthTable):
 class Anf:
     """Algebraic normal form as a set of monomials over variables 1..n.
 
-    A monomial is a frozenset of variable indices; the empty frozenset is
-    the constant-one term.  No monomial set at all means the zero function.
+    A monomial is a word below 2**n with x_v at bit v-1, like an input; the
+    word 0 is the constant-one term.  No monomials means the zero function.
     """
 
     n: int
-    monomials: frozenset[frozenset[int]] = field(default_factory=frozenset)
+    monomials: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         _check_dim(self.n)
         for mono in self.monomials:
-            for v in mono:
-                if not 1 <= v <= self.n:
-                    raise ValueError(f"variable x{v} out of range 1..{self.n}")
+            if type(mono) is not int or not 0 <= mono < 1 << self.n:
+                raise ValueError(f"monomial {mono!r} is not a word in 0..2**{self.n}-1")
 
     def degree(self) -> int:
         """Largest monomial size; -1 for the zero function."""
-        return max((len(m) for m in self.monomials), default=-1)
+        return max((m.bit_count() for m in self.monomials), default=-1)
 
     def evaluate(self, x: BitVector | int) -> int:
         return _evaluate_monomials(self.monomials, x)
 
 
-def _evaluate_monomials(monomials: Iterable[frozenset[int]], x: BitVector | int) -> int:
-    """GF(2) sum of the monomials at the point x (variable v is bit v-1)."""
+def _evaluate_monomials(monomials: Iterable[int], x: BitVector | int) -> int:
+    """GF(2) sum of the monomials at the point x: m counts when its bits are set in x."""
     bits = x.bits if isinstance(x, BitVector) else int(x)
-    acc = 0
-    for mono in monomials:
-        if all((bits >> (v - 1)) & 1 for v in mono):
-            acc ^= 1
-    return acc
+    return sum((m & bits) == m for m in monomials) & 1
 
 
 @dataclass(frozen=True)
@@ -148,29 +143,15 @@ class PlantSpec:
             raise ValueError("dimension mismatch between n and structure basis")
 
 
-def _mono_index(mono: frozenset[int]) -> int:
-    idx = 0
-    for v in mono:
-        idx |= 1 << (v - 1)
-    return idx
-
-
-def _index_mono(idx: int) -> frozenset[int]:
-    return frozenset(v + 1 for v in range(idx.bit_length()) if (idx >> v) & 1)
-
-
 def anf_of(f: TruthTable) -> Anf:
     """Moebius transform of the truth table, returned as sparse monomials."""
-    coeffs = mobius_transform(f.table)
-    monos = frozenset(_index_mono(int(i)) for i in np.nonzero(coeffs)[0])
-    return Anf(f.n, monos)
+    return Anf(f.n, frozenset(np.flatnonzero(mobius_transform(f.table)).tolist()))
 
 
 def tt_of(a: Anf) -> TruthTable:
     """Inverse of anf_of (the transform is an involution)."""
     dense = np.zeros(1 << a.n, dtype=np.uint8)
-    for mono in a.monomials:
-        dense[_mono_index(mono)] = 1
+    dense[list(a.monomials)] = 1
     return TruthTable(a.n, mobius_transform(dense))
 
 
@@ -355,43 +336,53 @@ _VAR_RE = re.compile(r"^x(\d+)$")
 
 
 def format_anf(a: Anf) -> str:
-    """Monomials joined by ' + ', factors like 'x1*x2', constant term '1'."""
+    """Monomials joined by ' + ', factors like 'x1*x2', constant term '1'.
+
+    Higher degree first, then by variable list: x1*x10 before x2*x3.
+    """
     if not a.monomials:
         return "0"
-    ordered = sorted(a.monomials, key=lambda m: (-len(m), sorted(m)))
+    ordered = sorted(a.monomials, key=lambda m: (-m.bit_count(), _variables(m)))
     return " + ".join(_mono_text(m, "x") for m in ordered)
 
 
-def _mono_text(mono: frozenset[int], var: str) -> str:
+def _variables(mono: int) -> list[int]:
+    """Ascending variable indices of a monomial word (bit v-1 is x_v)."""
+    return [v + 1 for v in range(mono.bit_length()) if mono >> v & 1]
+
+
+def _mono_text(mono: int, var: str) -> str:
     """One monomial as 'x1*x3' (variables named by var), the constant as '1'."""
-    return "*".join(f"{var}{v}" for v in sorted(mono)) if mono else "1"
+    return "*".join(f"{var}{v}" for v in _variables(mono)) if mono else "1"
 
 
 def parse_anf(text: str, n: int | None = None) -> Anf:
     """Parse 'x1*x2 + x3 + 1'; n defaults to the largest variable index."""
     text = text.strip()
-    monos: set[frozenset[int]] = set()
+    monos: set[int] = set()
     max_var = 0
     if text not in ("", "0"):
         for chunk in text.split("+"):
             chunk = chunk.strip()
             if not chunk:
                 raise ValueError("empty monomial between '+' signs")
-            if chunk == "1":
-                term = frozenset()
-            else:
-                variables = []
+            term = 0
+            if chunk != "1":
                 for factor in chunk.split("*"):
                     m = _VAR_RE.match(factor.strip())
                     if not m:
                         raise ValueError(f"bad monomial factor {factor.strip()!r}")
-                    variables.append(int(m.group(1)))
-                if any(v < 1 for v in variables):
-                    raise ValueError("variable indices start at x1")
-                term = frozenset(variables)
-                max_var = max(max_var, max(variables))
+                    v = int(m.group(1))
+                    if v < 1:
+                        raise ValueError("variable indices start at x1")
+                    # refused before the shift, which would build a huge int
+                    _check_dim(v)
+                    term |= 1 << (v - 1)
+                    max_var = max(max_var, v)
             # repeated monomials cancel over GF(2)
             monos.symmetric_difference_update({term})
     if n is None:
         n = max(max_var, 1)
+    elif max_var > n:
+        raise ValueError(f"variable x{max_var} out of range 1..{n}")
     return Anf(n, frozenset(monos))

@@ -21,7 +21,6 @@ import numpy as np
 from .boolfn import (
     PlantSpec,
     TruthTable,
-    _mono_index,
     _mono_text,
     autocorr_values,
     format_anf,
@@ -46,7 +45,15 @@ from .recover import (
     find_structure_simple,
 )
 from .rng import DEFAULT_SEED, as_rng
-from .sat3 import parse_dimacs, reduce_cnf, solve_brute, theorem4_verify
+from .sat3 import (
+    _CASES,
+    _THEOREM4_N_MAX,
+    parse_dimacs,
+    reduce_cnf,
+    solve_brute,
+    theorem4_instance,
+    theorem4_verify,
+)
 from .simulate import collapse
 from .symbolic import classify_top, derivative_anf, theorem2_system
 
@@ -296,10 +303,7 @@ def cmd_anf(args) -> int:
         doc["conditions"] = [
             {
                 "x_monomial": _mono_text(c.x_monomial, "x"),
-                "terms": [
-                    _mono_text(m, "s")
-                    for m in sorted(c.monomials, key=_mono_index)
-                ],
+                "terms": [_mono_text(m, "s") for m in sorted(c.monomials)],
             }
             for c in conditions
         ]
@@ -326,9 +330,6 @@ def cmd_anf(args) -> int:
 
 
 # ---------------------------------------------------------------- sat3
-
-# each identity check draws its variable count n uniformly from k.._THEOREM4_N_MAX
-_THEOREM4_N_MAX = 12
 
 
 def cmd_sat3(args) -> int:
@@ -358,7 +359,7 @@ def cmd_sat3(args) -> int:
 
     if args.verify_theorem4:
         case = args.verify_theorem4
-        k_min = 4 if case == "1" else 3
+        k_min = _CASES[case]["tail"]
         ks = [args.k] if args.k is not None else list(range(k_min, 9))
         if args.k is not None and not k_min <= args.k <= _THEOREM4_N_MAX:
             raise ValueError(f"case {case} needs {k_min} <= --k <= {_THEOREM4_N_MAX}")
@@ -367,26 +368,10 @@ def cmd_sat3(args) -> int:
         rng = as_rng(args.seed)
         results = []
         for k in ks:
-            hold = 0
-            trials = args.trials
-            for _ in range(trials):
-                n = int(rng.integers(k, _THEOREM4_N_MAX + 1))
-                idx = tuple(int(v) + 1 for v in rng.choice(n, size=k, replace=False))
-                prefix = set(idx[: k - (4 if case == "1" else 3)])
-                extras = []
-                if prefix:
-                    for _ in range(3):
-                        width = int(rng.integers(1, n + 1))
-                        mono = frozenset(
-                            int(v) + 1 for v in rng.choice(n, size=width, replace=False)
-                        )
-                        if not prefix <= mono:
-                            extras.append(mono)
-                if theorem4_verify(case, k, n, idx, extras):
-                    hold += 1
-            results.append({"k": k, "hold": hold, "trials": trials})
-            if hold != trials:
-                failed = True
+            draws = (theorem4_instance(case, k, rng) for _ in range(args.trials))
+            hold = sum(theorem4_verify(case, k, *draw) for draw in draws)
+            results.append({"k": k, "hold": hold, "trials": args.trials})
+            failed |= hold != args.trials
         doc["case"] = case
         doc["identity_checks"] = results
 

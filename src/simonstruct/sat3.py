@@ -30,9 +30,12 @@ __all__ = [
     "cnf_satisfiable",
     "equisat_check",
     "theorem4_verify",
+    "theorem4_instance",
 ]
 
 _CHUNK = 1 << 20
+# each random identity check draws its variable count n from k.._THEOREM4_N_MAX
+_THEOREM4_N_MAX = 12
 
 # (variable index 1..n, negated flag)
 Literal = tuple[int, bool]
@@ -201,13 +204,11 @@ def equisat_check(cnf: Cnf3) -> bool:
     return direct == reduced
 
 
-def _multiply_factor(
-    monomials: set[frozenset[int]], var: int, const: int
-) -> set[frozenset[int]]:
-    """Multiply a GF(2) polynomial in s by the factor (s_var + const)."""
-    out: set[frozenset[int]] = set()
+def _multiply_factor(monomials: set[int], bit: int, const: int) -> set[int]:
+    """Multiply a GF(2) polynomial in s by the factor (s_v + const), bit = 2**(v-1)."""
+    out: set[int] = set()
     for m in monomials:
-        out.symmetric_difference_update((m | frozenset((var,)),))
+        out.symmetric_difference_update({m | bit})
     if const:
         out.symmetric_difference_update(monomials)
     return out
@@ -252,7 +253,7 @@ def theorem4_verify(
     k: int,
     n: int,
     indices: Sequence[int] | None = None,
-    extra_monomials: Iterable[frozenset[int]] = (),
+    extra_monomials: Iterable[int] = (),
 ) -> bool:
     """Check one tail-coefficient pattern against its factored product form.
 
@@ -262,9 +263,9 @@ def theorem4_verify(
     :func:`theorem2_system`, expands the case's product form
     independently, and compares the two GF(2) polynomials in s.
 
-    extra_monomials may add clutter anywhere in the function as long as
-    no extra contains the shared prefix; such terms feed other conditions
-    but must not disturb this one.
+    extra_monomials (words below 2**n, as in Anf) may add clutter
+    anywhere in the function as long as no extra contains the shared
+    prefix; such terms feed other conditions but must not disturb this one.
     """
     spec = _CASES.get(case_id)
     if spec is None:
@@ -280,25 +281,37 @@ def theorem4_verify(
     if not all(1 <= i <= n for i in indices):
         raise ValueError(f"indices must lie in 1..{n}")
 
-    prefix = frozenset(indices[: k - tail_len])
-    tail = indices[k - tail_len:]
+    prefix = sum(1 << (i - 1) for i in indices[: k - tail_len])
+    tail = [1 << (i - 1) for i in indices[k - tail_len:]]
 
-    monomials = {
-        prefix | frozenset(tail[p] for p in positions)
-        for positions in spec["declared"]
-    }
+    monomials = {prefix | sum(tail[p] for p in positions) for positions in spec["declared"]}
     for extra in extra_monomials:
-        extra = frozenset(extra)
-        if not all(1 <= i <= n for i in extra):
-            raise ValueError("extra monomial variable out of range")
-        if prefix <= extra:
+        if type(extra) is not int or not 0 <= extra < 1 << n:
+            raise ValueError(f"extra monomial {extra!r} is not a word in 0..2**{n}-1")
+        if (prefix & ~extra) == 0:
             raise ValueError("extra monomials must not contain the prefix")
         monomials.add(extra)
 
     conditions = theorem2_system(Anf(n, frozenset(monomials)))
     condition = next(c for c in conditions if c.x_monomial == prefix)
 
-    expected: set[frozenset[int]] = {frozenset(tail[p] for p in spec["head"])}
+    expected = {sum(tail[p] for p in spec["head"])}
     for pos, const in spec["factors"]:
         expected = _multiply_factor(expected, tail[pos], const)
     return condition.monomials == frozenset(expected)
+
+
+def theorem4_instance(case_id: str, k: int, rng) -> tuple[int, tuple[int, ...], list[int]]:
+    """Random (n, indices, extras) for theorem4_verify: n uniform in k.._THEOREM4_N_MAX,
+    k distinct indices, and up to 3 clutter words that do not contain a nonempty prefix."""
+    n = int(rng.integers(k, _THEOREM4_N_MAX + 1))
+    indices = tuple(int(v) + 1 for v in rng.choice(n, size=k, replace=False))
+    prefix = sum(1 << (i - 1) for i in indices[: k - _CASES[case_id]["tail"]])
+    extras = []
+    if prefix:
+        for _ in range(3):
+            width = int(rng.integers(1, n + 1))
+            mono = sum(1 << int(v) for v in rng.choice(n, size=width, replace=False))
+            if prefix & ~mono:
+                extras.append(mono)
+    return n, indices, extras

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .boolfn import Anf, _evaluate_monomials, _mono_index
-from .gf2 import MAX_DIMENSION, BitVector, _check_dim
+from .boolfn import Anf, _evaluate_monomials
+from .gf2 import BitVector, _check_dim
 from .walsh import mobius_transform
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "theorem2_system",
     "solution_mask",
     "classify_top",
-    "lemma1_check",
 ]
 
 
@@ -36,12 +34,13 @@ class SymbolicCondition:
     """One multilinear GF(2) polynomial in s_1..s_n that must equal zero.
 
     x_monomial records which input monomial of the shifted difference the
-    condition came from; monomials are frozensets of shift coordinates.
+    condition came from; both it and the shift monomials are packed words,
+    variable v at bit v-1, as in Anf.
     """
 
     n: int
-    x_monomial: frozenset[int]
-    monomials: frozenset[frozenset[int]]
+    x_monomial: int
+    monomials: frozenset[int]
 
     def evaluate(self, s: BitVector | int) -> int:
         return _evaluate_monomials(self.monomials, s)
@@ -65,38 +64,35 @@ def derivative_anf(f: Anf, s: BitVector) -> Anf:
     """ANF of x -> f(x ^ s) ^ f(x) for a concrete shift s."""
     if s.n != f.n:
         raise ValueError("dimension mismatch")
-    acc: set[frozenset[int]] = set()
+    acc: set[int] = set()
     for mono in f.monomials:
-        shifted = [v for v in mono if s.bit(v)]
-        fixed = frozenset(v for v in mono if not s.bit(v))
-        # product over shifted vars of (x_v + 1) expands to all subsets;
-        # the full subset reproduces the original monomial and cancels
-        # against the unshifted copy, so only proper subsets remain
-        for size in range(len(shifted)):
-            for sub in combinations(shifted, size):
-                acc.symmetric_difference_update({fixed | frozenset(sub)})
+        shifted = mono & s.bits
+        fixed = mono ^ shifted
+        # product over shifted vars of (x_v + 1) expands to all submasks;
+        # the full one reproduces the original monomial and cancels
+        # against the unshifted copy, so only proper submasks remain
+        sub = shifted
+        while sub:
+            sub = (sub - 1) & shifted
+            acc.symmetric_difference_update({fixed | sub})
     return Anf(f.n, frozenset(acc))
 
 
 def theorem2_system(f: Anf) -> list[SymbolicCondition]:
     """Coefficient-vanishing conditions equivalent to structure membership.
 
-    For each monomial T of f and each proper subset M of T, the condition
-    keyed by M gains the shift monomial on T minus M.  A concrete s solves
-    every condition iff the derivative in direction s is the zero function.
-    Conditions are returned sorted by their x-monomial packed index.
+    For each monomial T of f and each proper submask M of T, the condition
+    keyed by M gains the shift monomial T ^ M.  A concrete s solves every
+    condition iff the derivative in direction s is the zero function.
+    Conditions are returned sorted by their x-monomial word.
     """
-    bucket: dict[frozenset[int], set[frozenset[int]]] = {}
+    bucket: dict[int, set[int]] = {}
     for mono in f.monomials:
-        for size in range(len(mono)):
-            for sub in combinations(sorted(mono), size):
-                m = frozenset(sub)
-                bucket.setdefault(m, set()).add(mono - m)
-    conditions = [
-        SymbolicCondition(f.n, m, frozenset(monos)) for m, monos in bucket.items()
-    ]
-    conditions.sort(key=lambda c: _mono_index(c.x_monomial))
-    return conditions
+        sub = mono
+        while sub:
+            sub = (sub - 1) & mono
+            bucket.setdefault(sub, set()).add(mono ^ sub)
+    return [SymbolicCondition(f.n, m, frozenset(monos)) for m, monos in sorted(bucket.items())]
 
 
 def solution_mask(conditions: list[SymbolicCondition], n: int) -> np.ndarray:
@@ -112,8 +108,7 @@ def solution_mask(conditions: list[SymbolicCondition], n: int) -> np.ndarray:
         return np.ones(size, dtype=bool)
     coeffs = np.zeros((len(conditions), size), dtype=np.uint8)
     for row, cond in enumerate(conditions):
-        for mono in cond.monomials:
-            coeffs[row, _mono_index(mono)] = 1
+        coeffs[row, list(cond.monomials)] = 1
     values = mobius_transform(coeffs)
     return ~values.any(axis=0)
 
@@ -142,18 +137,16 @@ def classify_top(f: Anf) -> ClassifierVerdict:
     if deg == n:
         return _forced("rule1", n, 0)
     if deg == n - 1:
-        bits = 0
-        top = {m for m in f.monomials if len(m) == n - 1}
-        for i in range(1, n + 1):
-            if frozenset(v for v in range(1, n + 1) if v != i) in top:
-                bits |= 1 << (i - 1)
+        # the degree n-1 monomial m omitting x_i has full ^ m = bit i-1
+        full = (1 << n) - 1
+        bits = sum(full ^ m for m in f.monomials if m.bit_count() == n - 1)
         # the pairwise conditions the top coefficients impose on s reduce
         # to a'_i*s_j = a'_j*s_i, which the vector a' satisfies identically,
         # so the pattern itself is never inconsistent
         return ClassifierVerdict("rule2", BitVector(n, bits))
     if deg < 2:
         return ClassifierVerdict("none", None)
-    complete = sum(1 for m in f.monomials if len(m) == deg) == math.comb(n, deg)
+    complete = sum(1 for m in f.monomials if m.bit_count() == deg) == math.comb(n, deg)
     if not complete:
         return ClassifierVerdict("none", None)
     gap = n - deg
@@ -161,19 +154,3 @@ def classify_top(f: Anf) -> ClassifierVerdict:
         case = "rule3" if gap == 2 else "rule4"
         return _forced(case, n, 0)
     return _forced("rule5", n, (1 << n) - 1)
-
-
-def lemma1_check(p: SymbolicCondition, k: int) -> bool:
-    """Vanishing principle, checked on one instance.
-
-    Returns True when "p evaluates to 0 on all 2**k points" and "p has no
-    monomials" agree (both hold or both fail); a multilinear polynomial
-    over GF(2) vanishes everywhere only by being identically zero.
-    """
-    if k < 0 or k > MAX_DIMENSION:
-        raise ValueError(f"k must be in 0..{MAX_DIMENSION}")
-    for mono in p.monomials:
-        if any(v > k for v in mono):
-            raise ValueError("condition uses variables beyond k")
-    vanishes = all(p.evaluate(s) == 0 for s in range(1 << k))
-    return vanishes == (not p.monomials)

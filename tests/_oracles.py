@@ -219,17 +219,18 @@ def rank_prob_exhaustive(n: int, k: int) -> Fraction:
     return Fraction(hits, total)
 
 
-def expand_product(factors) -> set[frozenset[int]]:
+def expand_product(factors) -> set[int]:
     """Multiply out GF(2) factors (var, const), each meaning (s_var + const).
 
     Starts from the constant polynomial 1 and multiplies one factor at a
-    time, cancelling duplicate monomials mod 2 after every step.
+    time, cancelling duplicate monomials mod 2 after every step.  Monomials
+    are packed words, s_v at bit v-1.
     """
-    poly: set[frozenset[int]] = {frozenset()}
+    poly: set[int] = {0}
     for var, const in factors:
-        shifted: set[frozenset[int]] = set()
+        shifted: set[int] = set()
         for mono in poly:
-            grown = frozenset(mono | {var})
+            grown = mono | 1 << (var - 1)
             if grown in shifted:
                 shifted.remove(grown)
             else:

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -42,7 +41,13 @@ from simonstruct.recover import (
     find_structure_iterative,
     find_structure_simple,
 )
-from simonstruct.sat3 import Cnf3, cnf_satisfiable, equisat_check, theorem4_verify
+from simonstruct.sat3 import (
+    Cnf3,
+    cnf_satisfiable,
+    equisat_check,
+    theorem4_instance,
+    theorem4_verify,
+)
 from simonstruct.simulate import collapse, quantum_solve, sample_y
 from simonstruct.symbolic import classify_top, solution_mask, theorem2_system
 
@@ -272,25 +277,22 @@ def test_criterion_06_condition_system_and_classifier(announce):
             classifier_ok &= sound(f)
             checked += 1
     # n = 5, 6: exhaustive over the hypothesis-defining top layer, with
-    # seeded random completions below it
+    # seeded random completions below it; monomials are words, x_v at bit v-1
     for n in (5, 6):
-        full = frozenset(range(1, n + 1))
+        full = (1 << n) - 1
         layer_specs = [[full]]
-        deg_n1 = [frozenset(full - {i}) for i in range(1, n + 1)]
+        deg_n1 = [full ^ (1 << i) for i in range(n)]
         for pattern in range(1, 1 << n):
             layer_specs.append([m for i, m in enumerate(deg_n1) if (pattern >> i) & 1])
         for deg in range(2, n - 1):
-            layer_specs.append([frozenset(c) for c in combinations(range(1, n + 1), deg)])
+            layer_specs.append([m for m in range(1 << n) if m.bit_count() == deg])
         for top in layer_specs:
-            top_deg = max(len(m) for m in top)
+            top_deg = max(m.bit_count() for m in top)
             for completion in range(3):
                 lower = set()
                 f_rng = np.random.default_rng(97 * n + completion)
-                for idx in range(1 << n):
-                    mono = frozenset(
-                        v + 1 for v in range(n) if (idx >> v) & 1
-                    )
-                    if len(mono) < top_deg and f_rng.integers(0, 2):
+                for mono in range(1 << n):
+                    if mono.bit_count() < top_deg and f_rng.integers(0, 2):
                         lower.add(mono)
                 f = tt_of(Anf(n, frozenset(top) | frozenset(lower)))
                 classifier_ok &= sound(f)
@@ -355,19 +357,7 @@ def test_criterion_07_reduction_and_identities(announce):
         k_min = 4 if case_id == "1" else 3
         for k in range(k_min, 9):
             for _ in range(100):
-                n = int(rng.integers(k, 13))
-                idx = tuple(int(v) + 1 for v in rng.choice(n, size=k, replace=False))
-                prefix = set(idx[: k - (4 if case_id == "1" else 3)])
-                extras = []
-                if prefix:
-                    for _ in range(3):
-                        width = int(rng.integers(1, n + 1))
-                        mono = frozenset(
-                            int(v) + 1 for v in rng.choice(n, size=width, replace=False)
-                        )
-                        if not prefix <= mono:
-                            extras.append(mono)
-                identity_ok &= theorem4_verify(case_id, k, n, idx, extras)
+                identity_ok &= theorem4_verify(case_id, k, *theorem4_instance(case_id, k, rng))
                 draws += 1
     elapsed = time.perf_counter() - t0
     ok = equisat_ok and identity_ok and elapsed < 120.0

@@ -109,10 +109,22 @@ def test_anf_round_trip_random():
 
 def test_anf_degree_and_validation():
     assert Anf(3).degree() == -1
-    assert Anf(3, frozenset({frozenset()})).degree() == 0
-    assert Anf(3, frozenset({frozenset({1, 3})})).degree() == 2
+    assert Anf(3, frozenset({0})).degree() == 0
+    assert Anf(3, frozenset({0b101})).degree() == 2
+    # a monomial is a Python int below 2**n: old frozenset monomials, negative
+    # words, words past n bits, bools and numpy ints are all refused
+    for bad in (frozenset({1, 3}), frozenset(), -1, 1 << 3, True, np.int64(1)):
+        with pytest.raises(ValueError):
+            Anf(3, frozenset({bad}))
     with pytest.raises(ValueError):
-        Anf(2, frozenset({frozenset({3})}))
+        Anf(2, frozenset({0b100}))
+
+
+def test_anf_text_keeps_the_variable_index_order():
+    # by word x2*x3 (0b110) would come before x1*x10 (bit 0 and bit 9)
+    a = parse_anf("x2*x3 + x1*x10 + x4 + 1 + x1*x2*x3")
+    assert format_anf(a) == "x1*x2*x3 + x1*x10 + x2*x3 + x4 + 1"
+    assert a.monomials == {0b111, 1 | 1 << 9, 0b110, 0b1000, 0}
 
 
 def test_derivative_definition():
@@ -301,3 +313,14 @@ def test_anf_text_round_trip():
         parse_anf("x1 + + x2")
     with pytest.raises(ValueError):
         parse_anf("x0 + x1")
+
+
+def test_parse_anf_refuses_an_index_past_the_cap_before_shifting():
+    # a shift by 99999999998 bits would build a 12 GB int before Anf saw it
+    with pytest.raises(ValueError, match="dimension 99999999999 outside"):
+        parse_anf("x1*x99999999999")
+    with pytest.raises(ValueError, match="dimension 25 outside"):
+        parse_anf("x1*x25")
+    with pytest.raises(ValueError, match="x4 out of range 1..3"):
+        parse_anf("x1*x4", 3)
+    assert parse_anf("x24").monomials == {1 << 23}

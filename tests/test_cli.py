@@ -365,6 +365,16 @@ def test_anf_classify_system_and_check(workdir):
     assert check["in_u1"] is True
 
 
+def test_anf_system_terms_keep_word_order(capsys):
+    # word order puts s2*s3 (0b110) before s1*s10 (bits 0 and 9); the
+    # index-list order of format_anf would not
+    assert cli.main(["anf", "--anf", "x2*x3 + x1*x10", "--system"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["anf"] == "x1*x10 + x2*x3"
+    assert doc["conditions"][0] == {"x_monomial": "1", "terms": ["s2*s3", "s1*s10"]}
+    assert [c["x_monomial"] for c in doc["conditions"]] == ["1", "x1", "x2", "x3", "x10"]
+
+
 def test_anf_rejects_bad_polynomial(capsys):
     r = run_cli("anf", "--anf", "x1 ** x2")
     assert r.returncode == 2

@@ -13,6 +13,7 @@ from simonstruct.sat3 import (
     parse_dimacs,
     reduce_cnf,
     solve_brute,
+    theorem4_instance,
     theorem4_verify,
 )
 from simonstruct.symbolic import theorem2_system
@@ -171,14 +172,27 @@ def test_theorem4_shuffled_indices_and_clutter():
         k = int(rng.integers(k_min, 8))
         n = int(rng.integers(k, 11))
         indices = [int(v) + 1 for v in rng.choice(n, size=k, replace=False)]
-        prefix = set(indices[: k - (4 if case_id == "1" else 3)])
+        prefix = sum(1 << (i - 1) for i in indices[: k - (4 if case_id == "1" else 3)])
         extras = []
         for _ in range(3):
             size = int(rng.integers(1, 4))
-            mono = frozenset(int(v) + 1 for v in rng.choice(n, size=size, replace=False))
-            if not prefix <= mono:
+            mono = sum(1 << int(v) for v in rng.choice(n, size=size, replace=False))
+            if prefix & ~mono:
                 extras.append(mono)
         assert theorem4_verify(case_id, k, n, indices=indices, extra_monomials=extras)
+
+
+def test_theorem4_instances_are_valid_draws():
+    rng = np.random.default_rng(75)
+    for case_id, tail in [("1", 4), ("2a", 3), ("2b", 3), ("2c", 3)]:
+        for k in range(tail, 13):
+            n, indices, extras = theorem4_instance(case_id, k, rng)
+            assert k <= n <= 12
+            assert len(set(indices)) == k and all(1 <= i <= n for i in indices)
+            prefix = sum(1 << (i - 1) for i in indices[: k - tail])
+            assert len(extras) <= (3 if prefix else 0)
+            assert all(0 < e < 1 << n and prefix & ~e for e in extras)
+            assert theorem4_verify(case_id, k, n, indices, extras)
 
 
 def test_theorem4_validation():
@@ -191,7 +205,11 @@ def test_theorem4_validation():
     with pytest.raises(ValueError):
         theorem4_verify("2a", 3, 3, indices=[1, 2, 4])
     with pytest.raises(ValueError):
-        theorem4_verify("2a", 5, 5, extra_monomials=[frozenset({1, 2, 3})])
+        theorem4_verify("2a", 5, 5, extra_monomials=[0b111])
+    # extras are words below 2**n: x6 does not exist at n = 5
+    for bad in (1 << 5, -1, frozenset({4})):
+        with pytest.raises(ValueError, match="not a word"):
+            theorem4_verify("2a", 5, 5, extra_monomials=[bad])
 
 
 def test_condition_equals_hand_expanded_product():
@@ -207,9 +225,9 @@ def test_condition_equals_hand_expanded_product():
         "2c": ({(1, 2, 3)}, [(1, 0), (2, 0), (3, 0)]),
     }
     for declared, factors in fixtures.values():
-        monos = frozenset(frozenset(m) for m in declared)
+        monos = frozenset(sum(1 << (v - 1) for v in m) for m in declared)
         conditions = theorem2_system(Anf(4, monos))
-        condition = next(c for c in conditions if c.x_monomial == frozenset())
+        condition = next(c for c in conditions if c.x_monomial == 0)
         assert condition.monomials == frozenset(expand_product(factors))
 
 
@@ -217,11 +235,11 @@ def test_tampered_pattern_breaks_the_identity():
     # dropping one declared monomial must break the product form
     declared = {(1, 2), (1, 2, 3)}
     expected = frozenset(expand_product([(1, 0), (2, 0), (3, 1)]))
-    complete = frozenset(frozenset(m) for m in declared)
+    complete = frozenset(sum(1 << (v - 1) for v in m) for m in declared)
     conditions = theorem2_system(Anf(3, complete))
-    good = next(c for c in conditions if c.x_monomial == frozenset())
+    good = next(c for c in conditions if c.x_monomial == 0)
     assert good.monomials == expected
-    tampered = frozenset({frozenset({1, 2})})
+    tampered = frozenset({0b011})
     conditions = theorem2_system(Anf(3, tampered))
-    bad = next(c for c in conditions if c.x_monomial == frozenset())
+    bad = next(c for c in conditions if c.x_monomial == 0)
     assert bad.monomials != expected

@@ -6,9 +6,9 @@ import pytest
 from simonstruct.boolfn import Anf, TruthTable, anf_of, derivative, parse_anf, tt_of
 from simonstruct.gf2 import BitVector
 from simonstruct.symbolic import (
+    SymbolicCondition,
     classify_top,
     derivative_anf,
-    lemma1_check,
     solution_mask,
     theorem2_system,
 )
@@ -75,7 +75,7 @@ def test_constant_one_derivative_fails_only_the_empty_condition():
     # so 111 shifts f by the constant one: a one-constant structure that
     # must not be accepted as a zero-constant one
     d = derivative_anf(a, BitVector(3, s))
-    assert d.monomials == frozenset({frozenset()})
+    assert d.monomials == frozenset({0})
     assert not solution_mask(conditions, 3)[s]
 
 
@@ -83,11 +83,12 @@ def test_system_is_sorted_and_keyed_by_proper_subsets():
     a = parse_anf("x1*x2*x3", 3)
     conditions = theorem2_system(a)
     keys = [c.x_monomial for c in conditions]
-    assert keys[0] == frozenset()
+    assert keys == sorted(keys)
+    assert keys[0] == 0
     assert len(keys) == len(set(keys)) == 7
     by_key = {c.x_monomial: c.monomials for c in conditions}
-    assert by_key[frozenset({1, 2})] == frozenset({frozenset({3})})
-    assert by_key[frozenset()] == frozenset({frozenset({1, 2, 3})})
+    assert by_key[0b011] == frozenset({0b100})
+    assert by_key[0] == frozenset({0b111})
 
 
 def test_classifier_rule1_full_monomial():
@@ -160,23 +161,14 @@ def test_forced_vector_membership_is_not_guaranteed():
 
 
 def test_lemma1_on_generated_conditions():
+    # a multilinear GF(2) polynomial vanishes at every point only by having
+    # no monomials
     rng = np.random.default_rng(65)
     for _ in range(20):
         n = int(rng.integers(1, 6))
         a = random_anf(n, rng)
-        for c in theorem2_system(a):
-            assert lemma1_check(c, n)
-
-
-def test_lemma1_validation():
-    a = parse_anf("x1*x2*x3", 3)
-    cond = theorem2_system(a)[0]
-    with pytest.raises(ValueError):
-        lemma1_check(cond, -1)
-    with pytest.raises(ValueError):
-        lemma1_check(cond, 1)
-    with pytest.raises(ValueError):
-        lemma1_check(cond, 25)
+        for c in theorem2_system(a) + [SymbolicCondition(n, 0, frozenset())]:
+            assert solution_mask([c], n).all() == (not c.monomials)
 
 
 def test_solution_mask_no_conditions_accepts_everything():
