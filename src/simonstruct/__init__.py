@@ -30,12 +30,10 @@ from .gf2 import (
     SpanTracker,
     Subspace,
     null_space_basis,
-    rank,
     span_equal,
     span_of,
 )
 from .oracle import (
-    AutocorrSpectrum,
     RTypeHit,
     StructureSets,
     VerifyResult,
@@ -84,7 +82,6 @@ from .simulate import (
     quantum_solve,
     sample_y,
     simon_round,
-    y_distribution,
 )
 from .symbolic import (
     ClassifierVerdict,

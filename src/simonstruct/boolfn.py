@@ -248,6 +248,8 @@ def plant_periods(n: int, basis: Subspace, seed=None) -> MultiTruthTable:
     period to find.
     """
     _check_dim(n)
+    if n < 2:
+        raise ValueError("F has n - 1 output bits, so a period plant needs n >= 2")
     if basis.n != n:
         raise ValueError("dimension mismatch")
     k = basis.dim

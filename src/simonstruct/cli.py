@@ -111,6 +111,8 @@ def cmd_find(args) -> int:
         rounds_cap=args.rounds_cap, verify_p=args.verify_p, seed=args.seed
     )
     if args.mode == "periods":
+        if args.verify_p is not None:
+            raise ValueError("--verify-p is not read by --mode periods, which verifies nothing")
         F = _read_table(args.f, multi=True)
         rep = find_periods(F, cfg)
         doc = {
@@ -203,14 +205,13 @@ def cmd_oracle(args) -> int:
     if args.format == "csv" and args.scan_r is not None:
         raise ValueError("--scan-r is JSON only; the CSV violations column covers every shift")
     f = _read_table(args.f)
-    spectrum = autocorrelation(f)
+    vals = autocorrelation(f)
     # the closure and coset checks guard both output formats
-    sets = _structure_sets(spectrum)
-    vals = spectrum.values
+    sets = _structure_sets(vals)
 
     if args.format == "csv":
         full = 1 << f.n
-        columns = (vals, vals == full, vals == -full, *_violations(spectrum))
+        columns = (vals, vals == full, vals == -full, *_violations(vals))
         blocks = []  # rows go by blocks so that one block's Python objects are alive at once
         for lo in range(0, full, 1 << 12):
             block = np.arange(lo, min(lo + (1 << 12), full))
@@ -228,7 +229,7 @@ def cmd_oracle(args) -> int:
         "u1": [str(b) for b in sets.u1],
     }
     if args.scan_r is not None:
-        hits = _r_type_hits(spectrum, args.scan_r)
+        hits = _r_type_hits(vals, args.scan_r)
         doc["r_type_hits"] = [
             {"alpha": str(h.alpha), "c": h.c, "violations": h.violations}
             for h in hits
@@ -242,6 +243,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_prob(args) -> int:
     if args.verify:
+        if args.kmax is not None:
+            raise ValueError("--kmax is not read by --verify, which runs fixed checks")
         lines = []
         ok = True
         for n in range(1, 9):
@@ -276,7 +279,7 @@ def cmd_prob(args) -> int:
         }
         text = _json_doc(doc)
     else:
-        text = _csv_doc(*table.csv_lines())
+        text = _csv_doc("n,k,s,h", *(f"{table.n},{k},{s!r},{h!r}" for k, s, h in table.rows))
     _emit(text, args.out)
     return 0
 
@@ -387,6 +390,8 @@ def cmd_plant(args) -> int:
     if args.kind == "rtype":
         if not args.f:
             raise ValueError("--kind rtype needs --f <base table>")
+        if args.n is not None or args.dim is not None:
+            raise ValueError("--n and --dim are not read by --kind rtype, which takes the table from --f")
         base = _read_table(args.f)
         flipped = plant_r_type(base, args.r, _child_seed(rng))
         _emit(format_truth_table(flipped), args.out)
@@ -395,6 +400,8 @@ def cmd_plant(args) -> int:
             sys.stdout.write(_json_doc(doc))
         return 0
 
+    if args.f:
+        raise ValueError("--f is read only by --kind rtype")
     if args.n is None or args.dim is None:
         raise ValueError("--kind structure/periods needs --n and --dim")
     if not 0 <= args.dim <= args.n:

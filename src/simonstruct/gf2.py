@@ -17,7 +17,6 @@ __all__ = [
     "BitMatrix",
     "Subspace",
     "SpanTracker",
-    "rank",
     "null_space_basis",
     "span_equal",
     "span_of",
@@ -237,11 +236,6 @@ def span_of(n: int, vectors: Iterable[BitVector | int]) -> Subspace:
         else:
             ints.append(int(v))
     return Subspace(BitMatrix.from_ints(n, SpanTracker(n, ints).basis_ints()))
-
-
-def rank(m: BitMatrix) -> int:
-    """GF(2) rank of the matrix rows."""
-    return SpanTracker(m.n, m.row_ints()).dim
 
 
 def null_space_basis(m: BitMatrix) -> Subspace:

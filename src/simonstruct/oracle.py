@@ -5,9 +5,10 @@ constant c for every x.  The c = 0 words form a subspace; the c = 1 words
 are either empty or a single coset of it.  Both sets are read off the
 autocorrelation spectrum, which hits +-2**n exactly on structures.  The
 spectrum comes from :func:`boolfn.autocorr_values`, the one kernel for it,
-whose sum over output bits also gives the period sets; the readers of a
-spectrum take an :class:`AutocorrSpectrum`, so a caller that needs several
-of them computes it once.
+whose sum over output bits also gives the period sets.  The readers of a
+spectrum take the read-only int64 array that :func:`autocorrelation`
+returns, indexed by shift word, and get n from its size, so a caller that
+needs several of them computes it once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .rng import as_rng
 from .walsh import xor_permute
 
 __all__ = [
-    "AutocorrSpectrum",
     "StructureSets",
     "RTypeHit",
     "VerifyResult",
@@ -35,25 +35,6 @@ __all__ = [
     "sampled_verify",
     "anchored_confirm",
 ]
-
-
-class AutocorrSpectrum:
-    """Signed autocorrelation values, one per shift word, entry 0 = 2**n."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values):
-        # a read-only view: no copy of the spectrum, the caller's array stays writable
-        arr = np.asarray(values, dtype=np.int64).view()
-        if arr.shape != (1 << n,):
-            raise ValueError("spectrum must have 2**n entries")
-        arr.flags.writeable = False
-        self.n = n
-        self.values = arr
-
-    def __getitem__(self, alpha: BitVector | int) -> int:
-        idx = alpha.bits if isinstance(alpha, BitVector) else int(alpha)
-        return int(self.values[idx])
 
 
 @dataclass(frozen=True)
@@ -81,9 +62,12 @@ class VerifyResult:
         return self.ok
 
 
-def autocorrelation(f: TruthTable) -> AutocorrSpectrum:
-    """Autocorrelation spectrum, computed exactly by :func:`boolfn.autocorr_values`."""
-    return AutocorrSpectrum(f.n, autocorr_values(f.table))
+def autocorrelation(f: TruthTable) -> np.ndarray:
+    """Signed autocorrelation per shift word, entry 0 = 2**n, as the read-only
+    int64 array of :func:`boolfn.autocorr_values`; no copy is made."""
+    spectrum = autocorr_values(f.table)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def _subspace_from_members(members: np.ndarray, n: int) -> Subspace:
@@ -104,18 +88,19 @@ def _subspace_from_members(members: np.ndarray, n: int) -> Subspace:
     return subspace
 
 
-def _structure_sets(spectrum: AutocorrSpectrum) -> StructureSets:
-    full = 1 << spectrum.n
-    u0_members = np.nonzero(spectrum.values == full)[0]
-    u0 = _subspace_from_members(u0_members, spectrum.n)
-    u1_members = np.nonzero(spectrum.values == -full)[0]
+def _structure_sets(spectrum: np.ndarray) -> StructureSets:
+    full = spectrum.size
+    n = full.bit_length() - 1
+    u0_members = np.nonzero(spectrum == full)[0]
+    u0 = _subspace_from_members(u0_members, n)
+    u1_members = np.nonzero(spectrum == -full)[0]
     if len(u1_members):
         if len(u1_members) != len(u0_members):
             raise RuntimeError("one-constant set is not a coset of the subspace")
         shifted = np.sort(u1_members ^ u1_members[0])
         if not np.array_equal(shifted, u0_members):
             raise RuntimeError("one-constant set is not a coset of the subspace")
-    u1 = tuple(BitVector(spectrum.n, int(m)) for m in u1_members)
+    u1 = tuple(BitVector(n, int(m)) for m in u1_members)
     return StructureSets(u0=u0, u1=u1)
 
 
@@ -143,24 +128,25 @@ def brute_periods(F: MultiTruthTable) -> Subspace:
     return _subspace_from_members(np.flatnonzero(sums == sums[0]), F.n)
 
 
-def _violations(spectrum: AutocorrSpectrum) -> tuple[np.ndarray, np.ndarray]:
+def _violations(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per shift, the fewest inputs breaking a constant derivative, and that constant.
 
     A shift with spectrum value A has (2**n - A) / 2 inputs violating c = 0
     and (2**n + A) / 2 violating c = 1; ties (A = 0) report c = 0.
     """
-    full = 1 << spectrum.n
-    v0 = (full - spectrum.values) >> 1
-    v1 = (full + spectrum.values) >> 1
+    full = spectrum.size
+    v0 = (full - spectrum) >> 1
+    v1 = (full + spectrum) >> 1
     return np.minimum(v0, v1), (v1 < v0).astype(np.int64)
 
 
-def _r_type_hits(spectrum: AutocorrSpectrum, r: int) -> list[RTypeHit]:
+def _r_type_hits(spectrum: np.ndarray, r: int) -> list[RTypeHit]:
     if r < 0:
         raise ValueError("r must be nonnegative")
+    n = spectrum.size.bit_length() - 1
     best, const = _violations(spectrum)
     return [
-        RTypeHit(BitVector(spectrum.n, int(i)), int(const[i]), int(best[i]))
+        RTypeHit(BitVector(n, int(i)), int(const[i]), int(best[i]))
         for i in np.nonzero(best <= r)[0]
     ]
 

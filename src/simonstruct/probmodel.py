@@ -116,12 +116,6 @@ class ProbTable:
     n: int
     rows: tuple[tuple[int, float, float], ...]
 
-    def csv_lines(self) -> list[str]:
-        lines = ["n,k,s,h"]
-        for k, s_val, h_val in self.rows:
-            lines.append(f"{self.n},{k},{s_val!r},{h_val!r}")
-        return lines
-
 
 def prob_table(n: int, k_max: int) -> ProbTable:
     """Tabulate success and log-failure probabilities for k = n..k_max."""

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import MultiTruthTable
-from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rref_array, linear_index, null_space_basis
+from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rref_array, null_space_basis
 from .rng import as_rng
 from .walsh import factored
 
@@ -40,7 +40,6 @@ __all__ = [
     "CollapseOutcome",
     "SpanLaw",
     "collapse",
-    "y_distribution",
     "sample_y",
     "simon_round",
     "quantum_solve",
@@ -104,16 +103,6 @@ class SpanLaw:
     def total(self) -> int:
         """|S| * 2**r, the sum of the reduced weights."""
         return int(self.cumulative[-1])
-
-    def reduced_weights(self) -> np.ndarray:
-        """W'(z) for every z in [0, 2**r)."""
-        return np.diff(self.cumulative, prepend=0)
-
-    def full_weights(self) -> np.ndarray:
-        """W(y) for every y in [0, 2**n): W'(z(y)), where z(y) = sum_j (b_j . y) << j
-        is GF(2)-linear in y, bit j of unit word k's image being bit k of b_j."""
-        images = [sum(((b >> k) & 1) << j for j, b in enumerate(self.basis)) for k in range(self.n)]
-        return self.reduced_weights()[linear_index(self.n, images)]
 
     def draw(self, rng: np.random.Generator) -> int:
         """One y: z by inverse cumulative lookup, then y uniform over its fiber."""
@@ -183,16 +172,6 @@ def collapse(
         # compress: several times faster than a boolean index on int64 here
         survivors = survivors.compress(table[survivors ^ a.bits] == value)
     return CollapseOutcome(f.n, tuple(observed), survivors)
-
-
-def y_distribution(outcome: CollapseOutcome) -> np.ndarray:
-    """Exact law of y as a read-only float64 array indexed by packed y.
-
-    The probabilities sum to 1 up to float rounding.
-    """
-    probs = outcome.weights().full_weights() / float(outcome.size << outcome.n)
-    probs.flags.writeable = False
-    return probs
 
 
 def sample_y(outcome: CollapseOutcome, seed=None) -> BitVector:

@@ -3,8 +3,10 @@
 Everything here recomputes quantities straight from their definitions and
 avoids the library's fast paths, so a transform bug cannot hide by sitting
 on both sides of an assertion.  The exceptions keep a computation the
-package replaced (brute_periods_def, coset_index_def, full_weights_def), so
-a rewrite is checked against the code it stands in for.
+package replaced (brute_periods_def, coset_index_def), so a rewrite is
+checked against the code it stands in for, or the 2**n expansion of the
+y-law (full_weights_def, y_distribution_def), which the package never needs:
+it draws from the law in S's own span.
 """
 
 from fractions import Fraction
@@ -135,13 +137,19 @@ def coset_index_def(n: int, basis) -> tuple[np.ndarray, int]:
 
 
 def full_weights_def(law) -> np.ndarray:
-    """W(y) for every y: z(y) bit by bit from the parity of b_j & y, one
+    """W(y) for every y: the reduced weight W'(z(y)), read off the law's
+    cumulative table, with z(y) bit by bit from the parity of b_j & y, one
     full-table pass per basis row."""
     y = np.arange(1 << law.n, dtype=np.int64)
     z = np.zeros_like(y)
     for j, b in enumerate(law.basis):
         z |= (np.bitwise_count(y & b).astype(np.int64) & 1) << j
-    return law.reduced_weights()[z]
+    return np.diff(law.cumulative, prepend=0)[z]
+
+
+def y_distribution_def(outcome) -> np.ndarray:
+    """Probability of every y for one collapse outcome: W(y) / (|S| * 2**n)."""
+    return full_weights_def(outcome.weights()) / float(outcome.size << outcome.n)
 
 
 def bit_rows_def(words, width: int) -> str:

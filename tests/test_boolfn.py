@@ -221,6 +221,9 @@ def test_plant_periods_span_is_exact():
         assert got.basis.row_ints() == basis.basis.row_ints()
     with pytest.raises(ValueError):
         plant_periods(5, span_of(5, []), seed=0)
+    # F has n - 1 output bits, so n = 1 leaves none; the message says so
+    with pytest.raises(ValueError, match="n >= 2"):
+        plant_periods(1, span_of(1, [1]), seed=0)
 
 
 def test_plant_structure_agrees_with_oracle_module():

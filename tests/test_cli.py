@@ -10,6 +10,7 @@ import pytest
 
 from simonstruct import boolfn, cli, oracle, recover, simulate
 from simonstruct.boolfn import TruthTable, parse_multi_truth_table, parse_truth_table
+from simonstruct.probmodel import prob_table
 from simonstruct.recover import _independent_anchors
 from simonstruct.simulate import collapse, sample_y
 
@@ -205,7 +206,7 @@ def test_oracle_csv_membership_columns_match_structure_sets(workdir, tmp_path, c
     assert {r[0] for r in rows if r[2] == "1"} == {str(v) for v in sets.u0.members()}
 
 
-def test_flags_are_refused_where_they_are_not_read(workdir):
+def test_flags_are_refused_where_they_are_not_read(workdir, capsys):
     r = run_cli("find", "--f", str(workdir / "f.tt"), "--format", "csv")
     assert r.returncode == 2
     assert r.stdout == ""
@@ -215,6 +216,19 @@ def test_flags_are_refused_where_they_are_not_read(workdir):
     # the CSV's violations column already covers every shift
     assert run_cli("oracle", "--f", str(workdir / "f.tt"), "--scan-r", "2", "--format", "csv").returncode == 2
     assert run_cli("sat3", "--cnf", str(workdir / "demo.cnf"), "--reduce", "--k", "4").returncode == 2
+    # each refusal names the flag that would be ignored
+    ignored = [
+        (["find", "--f", str(workdir / "F.mtt"), "--mode", "periods", "--verify-p", "5"], "--verify-p"),
+        (["plant", "--kind", "structure", "--n", "4", "--dim", "1", "--f", str(workdir / "f.tt")], "--f"),
+        (["plant", "--kind", "periods", "--n", "4", "--dim", "1", "--f", str(workdir / "f.tt")], "--f"),
+        (["prob", "--verify", "--kmax", "2"], "--kmax"),
+        (["plant", "--kind", "rtype", "--f", str(workdir / "f.tt"), "--n", "8"], "--n"),
+        (["plant", "--kind", "rtype", "--f", str(workdir / "f.tt"), "--dim", "1"], "--dim"),
+    ]
+    for argv, flag in ignored:
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and flag in err
 
 
 @pytest.mark.parametrize(
@@ -233,11 +247,12 @@ def test_flags_are_refused_where_they_are_not_read(workdir):
         (["plant", "--n", "25", "--dim", "1"], "24"),
         (["bench", "--n-max", "25"], "24"),
         (["prob", "--n", "400"], "24"),
+        (["plant", "--kind", "periods", "--n", "1", "--dim", "1"], "n >= 2"),
     ],
     ids=[
         "anchors-neg", "rounds-0", "rounds-neg", "repeat-0", "trials-neg", "trials-0", "k-13",
         "rounds-cap-0", "rounds-cap-neg", "verify-p-0", "plant-n-25", "bench-n-max-25",
-        "prob-n-400",
+        "prob-n-400", "plant-periods-n-1",
     ],
 )
 def test_bad_counts_exit_2_with_a_message(workdir, capsys, argv, limit):
@@ -340,6 +355,11 @@ def test_prob_table_csv(workdir):
     assert len(lines) == 6
     assert float(lines[2].split(",")[2]) == pytest.approx(0.375)
     assert float(lines[3].split(",")[2]) == pytest.approx(0.65625)
+    # one row per k, each float written in full so that it reads back exactly
+    rows = [line.split(",") for line in lines[2:]]
+    assert [(int(n), int(k), float(s), float(h)) for n, k, s, h in rows] == [
+        (2, k, s, h) for k, s, h in prob_table(2, 5).rows
+    ]
 
 
 def test_prob_verify_passes(workdir):

@@ -96,13 +96,8 @@ def test_prob_table_shape_and_monotonicity():
     h_vals = [h for _, _, h in table.rows]
     assert all(a < b for a, b in zip(s_vals, s_vals[1:]))
     assert all(a > b for a, b in zip(h_vals, h_vals[1:]))
-    lines = table.csv_lines()
-    assert lines[0] == "n,k,s,h"
-    assert len(lines) == 10
-    n_col, k_col, s_col, h_col = lines[1].split(",")
-    assert (n_col, k_col) == ("4", "4")
-    assert float(s_col) == pytest.approx(float(p_full_exact(4)))
-    assert float(h_col) == pytest.approx(math.log2(1 - float(p_full_exact(4))))
+    p = float(p_full_exact(4))
+    assert table.rows[0] == (4, pytest.approx(p), pytest.approx(math.log2(1 - p)))
     with pytest.raises(ValueError):
         prob_table(4, 3)
 

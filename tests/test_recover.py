@@ -106,6 +106,26 @@ def test_find_periods_recovers_planted_span():
         assert report.rounds_used == len(report.ys_collected.rows)
 
 
+@pytest.mark.parametrize("run", [find_structure_simple, find_structure_iterative])
+def test_edge_dimensions_are_recovered_under_oracle_check(run):
+    # n = 1 and the extremes dim = 0 (no structure) and dim = n (constant f)
+    for n in (1, 2, 4):
+        for dim in range(n + 1):
+            basis, f = planted(n, dim, 10 * n + dim)
+            report = run(f, RunConfig(seed=dim), oracle_check=True)
+            assert span_equal(report.candidate, basis), (n, dim)
+            assert report.verified and not report.pseudo_flag and report.oracle_checked
+
+
+def test_find_periods_recovers_the_full_space():
+    # dim = n: F is constant, every draw is y = 0 and the null space is everything
+    for n in range(2, 5):
+        basis = span_of(n, [1 << j for j in range(n)])
+        report = find_periods(plant_periods(n, basis, seed=n), RunConfig(seed=n))
+        assert span_equal(report.span, basis) and report.span.dim == n
+        assert report.stabilized
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(rounds_cap=0).resolved(8)

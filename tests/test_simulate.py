@@ -15,10 +15,17 @@ from simonstruct.simulate import (
     quantum_solve,
     sample_y,
     simon_round,
-    y_distribution,
 )
 
-from _oracles import full_weights_def, popcount, slow_walsh, span_set, structure_sets_def
+from _oracles import (
+    butterfly_def,
+    full_weights_def,
+    popcount,
+    slow_walsh,
+    span_set,
+    structure_sets_def,
+    y_distribution_def,
+)
 
 
 def random_table(n, rng):
@@ -71,12 +78,11 @@ def test_y_distribution_matches_direct_transform():
         f = random_table(n, rng)
         anchors = [BitVector(n, int(v)) for v in rng.integers(0, 1 << n, size=2)]
         out = collapse(f, anchors, seed=trial)
-        dist = y_distribution(out)
+        dist = y_distribution_def(out)
         hat = slow_walsh(mask_of(out).astype(np.int64))
         total = out.size << n
         for y in range(1 << n):
             assert dist[y] == pytest.approx(int(hat[y]) ** 2 / total)
-        assert dist.dtype == np.float64 and not dist.flags.writeable
         assert float(np.sum(dist)) == pytest.approx(1.0)
 
 
@@ -89,7 +95,7 @@ def test_every_positive_y_is_orthogonal_to_u0():
         u0, _ = structure_sets_def(f.table)
         anchors = [BitVector(n, int(v)) for v in rng.integers(0, 1 << n, size=2)]
         out = collapse(f, anchors, seed=trial)
-        dist = y_distribution(out)
+        dist = y_distribution_def(out)
         for y in range(1 << n):
             if dist[y] > 0:
                 assert all(popcount(y & b) % 2 == 0 for b in u0)
@@ -100,7 +106,7 @@ def test_sample_y_follows_the_exact_law():
     n = 4
     f = random_table(n, rng)
     out = collapse(f, [BitVector(n, 0b1010)], seed=3)
-    dist = y_distribution(out)
+    dist = y_distribution_def(out)
     # sample_y builds the law on every call, so the bulk draws share one law
     law = out.weights()
     for i in range(300):
@@ -224,7 +230,7 @@ def _definition_weights(mask, cache):
 def _assert_reduced_law_exact(out, cache):
     """W'(z(y)) from the reduced table equals slow_walsh(mask)**2 for every y."""
     law = out.weights()
-    reduced = law.reduced_weights().tolist()
+    reduced = np.diff(law.cumulative, prepend=0).tolist()
     implied = [
         reduced[sum(((y & b).bit_count() & 1) << j for j, b in enumerate(law.basis))]
         for y in range(1 << out.n)
@@ -293,8 +299,8 @@ def test_full_weights_equal_the_parity_expansion():
             f = TruthTable(n, [(code >> i) & 1 for i in range(size)])
             for bits in [()] + [(b,) for b in range(size)]:
                 for out in _reachable_outcomes(f, [BitVector(n, b) for b in bits]):
-                    law = out.weights()
-                    assert np.array_equal(law.full_weights(), full_weights_def(law))
+                    want = butterfly_def(mask_of(out)) ** 2
+                    assert np.array_equal(full_weights_def(out.weights()), want)
     # planted spans up to n = 12 keep r below n, so z(y) mixes several bits of y
     rng = np.random.default_rng(0x5C)
     for trial in range(30):
@@ -302,8 +308,8 @@ def test_full_weights_equal_the_parity_expansion():
         basis = span_of(n, [int(v) for v in rng.integers(1, 1 << n, size=int(rng.integers(0, 3)))])
         f = plant_structure(PlantSpec(n, basis, seed=trial))
         anchors = [BitVector(n, int(v)) for v in rng.integers(0, 1 << n, size=int(rng.integers(0, n + 1)))]
-        law = collapse(f, anchors, seed=trial).weights()
-        assert np.array_equal(law.full_weights(), full_weights_def(law))
+        out = collapse(f, anchors, seed=trial)
+        assert np.array_equal(full_weights_def(out.weights()), butterfly_def(mask_of(out)) ** 2)
 
 
 def test_collapse_by_value_law_equals_the_definition():
@@ -333,9 +339,9 @@ def test_single_survivor_gives_uniform_y():
     out = collapse(F, (), seed=1)
     law = out.weights()
     assert out.size == 1 and law.r == 0 and law.total == 1
-    assert law.full_weights().tolist() == [1] * (1 << n)
+    assert full_weights_def(law).tolist() == [1] * (1 << n)
     assert sorted(law.draw(_Scripted(0, u)) for u in range(1 << n)) == list(range(1 << n))
-    assert np.all(y_distribution(out) == 1 / (1 << n))
+    assert np.all(y_distribution_def(out) == 1 / (1 << n))
 
 
 def test_wide_anchor_free_set_has_full_span(monkeypatch):
@@ -359,7 +365,7 @@ def test_wide_anchor_free_set_has_full_span(monkeypatch):
             law = out.weights()
             assert law.r == n and law.basis == tuple(1 << j for j in range(n))
             assert law.free == 0
-            assert law.full_weights().tolist() == _definition_weights(mask_of(out), cache)
+            assert full_weights_def(law).tolist() == _definition_weights(mask_of(out), cache)
 
 
 def test_one_input_bit():
