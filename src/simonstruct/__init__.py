@@ -12,7 +12,6 @@ from .boolfn import (
     PlantSpec,
     TruthTable,
     anf_of,
-    derivative,
     format_anf,
     format_multi_truth_table,
     format_truth_table,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gf2 import BitVector, Subspace, _check_dim, _reduce, linear_index
 from .rng import as_rng
-from .walsh import EXACT_FLOAT_BOUND, factored, mobius_transform, xor_permute
+from .walsh import EXACT_FLOAT_BOUND, factored, mobius_transform
 
 __all__ = [
     "TruthTable",
@@ -24,7 +24,6 @@ __all__ = [
     "PlantSpec",
     "anf_of",
     "tt_of",
-    "derivative",
     "autocorr_values",
     "plant_structure",
     "plant_r_type",
@@ -153,13 +152,6 @@ def tt_of(a: Anf) -> TruthTable:
     dense = np.zeros(1 << a.n, dtype=np.uint8)
     dense[list(a.monomials)] = 1
     return TruthTable(a.n, mobius_transform(dense))
-
-
-def derivative(f: TruthTable, s: BitVector) -> TruthTable:
-    """Discrete derivative x -> f(x ^ s) ^ f(x)."""
-    if s.n != f.n:
-        raise ValueError("dimension mismatch")
-    return TruthTable(f.n, xor_permute(f.table, s.bits) ^ f.table)
 
 
 def _coset_index(n: int, basis: Subspace) -> tuple[np.ndarray, int]:

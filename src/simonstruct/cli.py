@@ -243,8 +243,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_prob(args) -> int:
     if args.verify:
-        if args.kmax is not None:
-            raise ValueError("--kmax is not read by --verify, which runs fixed checks")
+        for flag in ("n", "kmax", "format"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} is not read by --verify, which runs fixed checks")
         lines = []
         ok = True
         for n in range(1, 9):
@@ -270,9 +271,9 @@ def cmd_prob(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return 0 if ok else 1
 
-    kmax = args.kmax if args.kmax is not None else args.n + 32
-    table = prob_table(args.n, kmax)
-    if args.format == "json":
+    n = args.n if args.n is not None else 8
+    table = prob_table(n, args.kmax if args.kmax is not None else n + 32)
+    if args.format != "csv":
         doc = {
             "n": table.n,
             "rows": [{"k": k, "s": s, "h": h} for k, s, h in table.rows],
@@ -338,8 +339,9 @@ def cmd_anf(args) -> int:
 def cmd_sat3(args) -> int:
     if not (args.reduce or args.solve or args.verify_theorem4):
         raise ValueError("pick at least one of --reduce, --solve, --verify-theorem4")
-    if args.k is not None and not args.verify_theorem4:
-        raise ValueError("--k only restricts --verify-theorem4")
+    for flag in ("k", "trials"):
+        if getattr(args, flag) is not None and not args.verify_theorem4:
+            raise ValueError(f"--{flag} is read only by --verify-theorem4")
 
     doc: dict = {}
     failed = False
@@ -366,15 +368,16 @@ def cmd_sat3(args) -> int:
         ks = [args.k] if args.k is not None else list(range(k_min, 9))
         if args.k is not None and not k_min <= args.k <= _THEOREM4_N_MAX:
             raise ValueError(f"case {case} needs {k_min} <= --k <= {_THEOREM4_N_MAX}")
-        if args.trials < 1:
+        trials = args.trials if args.trials is not None else 100
+        if trials < 1:
             raise ValueError("--trials must be at least 1")
         rng = as_rng(args.seed)
         results = []
         for k in ks:
-            draws = (theorem4_instance(case, k, rng) for _ in range(args.trials))
+            draws = (theorem4_instance(case, k, rng) for _ in range(trials))
             hold = sum(theorem4_verify(case, k, *draw) for draw in draws)
-            results.append({"k": k, "hold": hold, "trials": args.trials})
-            failed |= hold != args.trials
+            results.append({"k": k, "hold": hold, "trials": trials})
+            failed |= hold != trials
         doc["case"] = case
         doc["identity_checks"] = results
 
@@ -393,15 +396,17 @@ def cmd_plant(args) -> int:
         if args.n is not None or args.dim is not None:
             raise ValueError("--n and --dim are not read by --kind rtype, which takes the table from --f")
         base = _read_table(args.f)
-        flipped = plant_r_type(base, args.r, _child_seed(rng))
+        r = args.r if args.r is not None else 1
+        flipped = plant_r_type(base, r, _child_seed(rng))
         _emit(format_truth_table(flipped), args.out)
         if args.out:
-            doc = {"kind": "rtype", "n": base.n, "r": args.r, "out": args.out}
+            doc = {"kind": "rtype", "n": base.n, "r": r, "out": args.out}
             sys.stdout.write(_json_doc(doc))
         return 0
 
-    if args.f:
-        raise ValueError("--f is read only by --kind rtype")
+    for flag in ("f", "r"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is read only by --kind rtype")
     if args.n is None or args.dim is None:
         raise ValueError("--kind structure/periods needs --n and --dim")
     if not 0 <= args.dim <= args.n:
@@ -481,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", help="write the main artifact here instead of stdout")
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("csv", "json"), default="json", help="artifact format")
+    fmt.add_argument("--format", choices=("csv", "json"), default=None, help="artifact format (default json)")
 
     parser = argparse.ArgumentParser(
         prog="simonstruct",
@@ -514,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("prob", parents=[common, fmt], help="success-probability tables and checks")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=int, default=None, help="input bits (default 8)")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument(
         "--verify",
@@ -541,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check a tail-coefficient identity on random draws; exit 1 on failure",
     )
     p.add_argument("--k", type=int, default=None, help="restrict the identity check to one k")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=None, help="draws per k (default 100)")
     p.set_defaults(func=cmd_sat3)
 
     p = sub.add_parser("plant", parents=[common], help="construct ground-truth instances")
@@ -549,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--f", help="base table for --kind rtype")
-    p.add_argument("--r", type=int, default=1, help="points to flip for --kind rtype")
+    p.add_argument("--r", type=int, default=None, help="points to flip for --kind rtype (default 1)")
     p.set_defaults(func=cmd_plant)
 
     p = sub.add_parser("bench", parents=[common], help="transform and recovery timings per n")

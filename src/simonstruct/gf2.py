@@ -58,12 +58,6 @@ class BitVector:
                 bits |= 1 << i
         return cls(len(text), bits)
 
-    def bit(self, i: int) -> int:
-        """Coordinate x_i, 1-based."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range 1..{self.n}")
-        return (self.bits >> (i - 1)) & 1
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
@@ -132,18 +126,6 @@ def linear_index(n: int, images: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _rref_array(values: np.ndarray, n: int) -> list[int]:
-    """RREF of the span of an integer array, one vectorised pass per pivot."""
-    rows = values[values != 0]
-    found: list[int] = []
-    while rows.size:
-        v = int(rows[0])
-        found.append(v)
-        rows = np.where(rows & (v & -v), rows ^ v, rows)
-        rows = rows[rows != 0]
-    return SpanTracker(n, found).basis_ints()
-
-
 class SpanTracker:
     """Incremental GF(2) span: add vectors, query rank and membership.
 
@@ -172,6 +154,30 @@ class SpanTracker:
         if red:
             self._rows.append(red)
         return red != 0
+
+    def extend(self, words: np.ndarray) -> "SpanTracker":
+        """Add every word of an int64 array; exact for any array, zeros and repeats included.
+
+        A strided probe of about 4n words goes through add() and stops at rank n.  If it
+        skipped words and the rank is short, the words are reduced by the rows, one vectorised
+        pass per row, and the first nonzero residual becomes a row until none is left.
+        """
+        stride = max(1, words.size // (4 * self.n))
+        for v in words[::stride].tolist():
+            if self.add(v) and self.dim == self.n:
+                return self
+        if stride == 1 or self.dim == self.n:
+            return self
+        rest = words
+        for p in self._rows:
+            rest = np.where(rest & (p & -p), rest ^ p, rest)
+        rest = rest[rest != 0]
+        while rest.size:
+            p = int(rest[0])
+            self._rows.append(p)
+            rest = np.where(rest & (p & -p), rest ^ p, rest)
+            rest = rest[rest != 0]
+        return self
 
     def basis_ints(self) -> list[int]:
         """Canonical RREF: pivots ascending, each pivot column clear in every other row."""

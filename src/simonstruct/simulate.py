@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import MultiTruthTable
-from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, _rref_array, null_space_basis
+from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, null_space_basis
 from .rng import as_rng
 from .walsh import factored
 
@@ -65,13 +65,11 @@ class SpanLaw:
     def __init__(self, n: int, survivors: np.ndarray):
         size = survivors.size
         offsets = survivors ^ survivors[0]
-        # a proper subspace holds at most 2**(n-1) words, and a strided probe
-        # of about 4n survivors usually reaches rank n when S is wide
-        probe = offsets[:: max(1, size // (4 * n))]
-        if 2 * size > 1 << n or SpanTracker(n, probe.tolist()).dim == n:
+        # a proper subspace holds at most 2**(n-1) words
+        if 2 * size > 1 << n:
             basis = [1 << j for j in range(n)]
         else:
-            basis = _rref_array(offsets, n)
+            basis = SpanTracker(n).extend(offsets).basis_ints()
         r = len(basis)
         if size << r > EXACT_TOTAL_CAP:
             raise ValueError(f"law total {size} * 2**{r} exceeds the exact bound 2**48")

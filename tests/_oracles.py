@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from simonstruct.boolfn import autocorr_values
+from simonstruct.boolfn import TruthTable, autocorr_values
 
 
 def popcount(x: int) -> int:
@@ -100,6 +100,12 @@ def violations_def(table, alpha: int, c: int) -> int:
     """Number of inputs where f(x ^ alpha) ^ f(x) differs from c."""
     t = np.asarray(table)
     return sum(1 for x in range(t.size) if int(t[x] ^ t[x ^ alpha]) != c)
+
+
+def derivative_def(f, s):
+    """Discrete derivative x -> f(x ^ s) ^ f(x), as a TruthTable."""
+    x = np.arange(1 << f.n)
+    return TruthTable(f.n, f.table[x ^ s.bits] ^ f.table)
 
 
 def period_set_def(table) -> set[int]:

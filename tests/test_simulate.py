@@ -5,9 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from simonstruct import simulate
+from simonstruct import gf2, simulate
 from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_periods, plant_structure
-from simonstruct.gf2 import BitMatrix, BitVector, null_space_basis, span_equal, span_of
+from simonstruct.gf2 import BitMatrix, BitVector, SpanTracker, null_space_basis, span_equal, span_of
 from simonstruct.rng import as_rng
 from simonstruct.simulate import (
     CollapseOutcome,
@@ -344,6 +344,42 @@ def test_single_survivor_gives_uniform_y():
     assert np.all(y_distribution_def(out) == 1 / (1 << n))
 
 
+class _WatchedWhere:
+    """numpy for gf2, counting the np.where calls of extend's residual passes, or refusing them."""
+
+    def __init__(self, refuse=False):
+        self.refuse = refuse
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def where(self, *args):
+        if self.refuse:
+            raise AssertionError("a wide S of full rank must not reach the residual passes")
+        self.calls += 1
+        return np.where(*args)
+
+
+def test_wide_low_rank_law_is_exact(monkeypatch):
+    # |S| >= 8n survivors of a proper coset: the probe skips words, so the residual passes run
+    watch = _WatchedWhere()
+    monkeypatch.setattr(gf2, "np", watch)
+    rng = np.random.default_rng(0x5D)
+    for n in range(8, 13):
+        dim = int(rng.integers((8 * n - 1).bit_length(), n))
+        span = span_of(n, [])
+        while span.dim < dim:
+            span = span_of(n, [int(v) for v in rng.integers(1, 1 << n, size=dim)])
+        out = collapse(plant_periods(n, span, seed=n), (), seed=n)
+        assert out.size == 1 << dim
+        law = out.weights()
+        offsets = out.survivors ^ out.survivors[0]
+        assert law.basis == tuple(SpanTracker(n, offsets.tolist()).basis_ints()) == tuple(span.basis.row_ints())
+        assert np.array_equal(full_weights_def(law), butterfly_def(mask_of(out)) ** 2)
+    assert watch.calls > 0
+
+
 def test_wide_anchor_free_set_has_full_span(monkeypatch):
     cache = {}
     rng = np.random.default_rng(51)
@@ -353,11 +389,8 @@ def test_wide_anchor_free_set_has_full_span(monkeypatch):
     skewed = balanced.copy()
     skewed[np.flatnonzero(balanced == 0)[:20]] = 1
 
-    def no_elimination(values, dim):
-        raise AssertionError("wide S must be settled by a short-circuit")
-
-    # |S| = 2**(n-1) needs the strided rank probe; |S| > 2**(n-1) needs none
-    monkeypatch.setattr(simulate, "_rref_array", no_elimination)
+    # |S| = 2**(n-1) is settled by extend's strided probe; |S| > 2**(n-1) needs no elimination
+    monkeypatch.setattr(gf2, "np", _WatchedWhere(refuse=True))
     for table in (balanced, skewed):
         for out in _reachable_outcomes(TruthTable(n, table), []):
             if out.size < 1 << (n - 1):
