@@ -90,6 +90,6 @@ from .symbolic import (
     solution_mask,
     theorem2_system,
 )
-from .walsh import mobius_transform, walsh_hadamard, xor_permute
+from .walsh import mobius_transform
 
 __version__ = "0.1.0"

@@ -111,8 +111,6 @@ def cmd_find(args) -> int:
         rounds_cap=args.rounds_cap, verify_p=args.verify_p, seed=args.seed
     )
     if args.mode == "periods":
-        if args.verify_p is not None:
-            raise ValueError("--verify-p is not read by --mode periods, which verifies nothing")
         F = _read_table(args.f, multi=True)
         rep = find_periods(F, cfg)
         doc = {
@@ -120,17 +118,16 @@ def cmd_find(args) -> int:
             "n": F.n,
             "span_basis": [str(b) for b in rep.span.basis.rows],
             "span_dim": rep.span.dim,
+            "verified": rep.verified,
             "rounds_used": rep.rounds_used,
             "stabilized": rep.stabilized,
+            "witness": [str(w) for w in rep.witness] if rep.witness else None,
             "ys_collected": [str(y) for y in rep.ys_collected.rows],
         }
-        failed = False
         if args.oracle_check:
-            truth = brute_periods(F)
-            doc["oracle_agrees"] = span_equal(rep.span, truth)
-            failed = not doc["oracle_agrees"]
+            doc["oracle_agrees"] = span_equal(rep.span, brute_periods(F))
         _emit(_json_doc(doc), args.out)
-        return 1 if failed else 0
+        return 1 if args.oracle_check and not (rep.verified and doc["oracle_agrees"]) else 0
 
     f = _read_table(args.f)
     run = find_structure_simple if args.mode == "simple" else find_structure_iterative
@@ -440,6 +437,8 @@ def cmd_plant(args) -> int:
 def cmd_bench(args) -> int:
     if not 1 <= args.n_min <= args.n_max <= MAX_DIMENSION:
         raise ValueError(f"need 1 <= --n-min <= --n-max <= {MAX_DIMENSION}")
+    if args.check and args.n_max == args.n_min:
+        raise ValueError("--check compares consecutive n, so it needs --n-max above --n-min")
     if args.repeat < 1:
         raise ValueError("--repeat must be at least 1")
     rng = as_rng(args.seed)

@@ -21,7 +21,6 @@ import numpy as np
 from .boolfn import MultiTruthTable, TruthTable, autocorr_values
 from .gf2 import MAX_DIMENSION, BitVector, Subspace, span_of
 from .rng import as_rng
-from .walsh import xor_permute
 
 __all__ = [
     "StructureSets",
@@ -167,12 +166,12 @@ def violation_points(f: TruthTable, alpha: BitVector, c: int) -> list[BitVector]
         raise ValueError("dimension mismatch")
     if c not in (0, 1):
         raise ValueError("c must be 0 or 1")
-    der = xor_permute(f.table, alpha.bits) ^ f.table
+    der = f.table[np.arange(1 << f.n) ^ alpha.bits] ^ f.table
     return [BitVector(f.n, int(x)) for x in np.nonzero(der != c)[0]]
 
 
 def sampled_verify(
-    f: TruthTable,
+    f: MultiTruthTable,
     candidates: Sequence[BitVector],
     p: int,
     seed=None,

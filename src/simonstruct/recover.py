@@ -5,7 +5,8 @@ a full set of linearly independent anchors and keeps sampling until the
 collected ys stop gaining rank; the candidate structure span is the null
 space of the ys.  The iterative variant repeats that as independent passes
 with fresh, growing anchor sets and stops when consecutive passes agree on
-the span.  Both verify the candidate basis against f by random probing.
+the span.  Every mode, periods included, verifies its span basis against
+f by random probing.
 """
 
 from __future__ import annotations
@@ -83,12 +84,15 @@ class StructureReport:
 @dataclass(frozen=True)
 class PeriodReport:
     """Result of one period-recovery run; stabilized=False means the round
-    budget ran out while the rank could still have been growing."""
+    budget ran out while the rank could still have been growing, and
+    verified=False comes with a witness (x, b) where F(x) != F(x ^ b)."""
 
     span: Subspace
     rounds_used: int
     stabilized: bool
     ys_collected: BitMatrix
+    verified: bool
+    witness: tuple[BitVector, BitVector] | None = None
 
 
 def _independent_anchors(n: int, count: int, rng) -> list[BitVector]:
@@ -129,10 +133,14 @@ def _sampling_pass(
 
 
 def find_periods(F: MultiTruthTable, cfg: RunConfig | None = None) -> PeriodReport:
-    """Recover the period span of a multi-output function by sampling."""
+    """Recover the period span of a multi-output function by sampling,
+    then probe every basis vector of it."""
     cfg = cfg or RunConfig()
-    ys, span, stabilized = _sampling_pass(F, (), cfg.resolved(F.n), as_rng(cfg.seed))
-    return PeriodReport(span, len(ys.rows), stabilized, ys)
+    res = cfg.resolved(F.n)
+    rng = as_rng(cfg.seed)
+    ys, span, stabilized = _sampling_pass(F, (), res, rng)
+    check = sampled_verify(F, span.basis.rows, res.verify_p, rng)
+    return PeriodReport(span, len(ys.rows), stabilized, ys, bool(check), check.witness)
 
 
 def _report(

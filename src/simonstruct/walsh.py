@@ -13,16 +13,11 @@ import functools
 
 import numpy as np
 
-__all__ = ["walsh_hadamard", "mobius_transform", "xor_permute"]
+__all__ = ["factored", "mobius_transform"]
 
 EXACT_FLOAT_BOUND = 1 << 53
 HADAMARD = ((1.0, 1.0), (1.0, -1.0))
 _ZETA = ((1.0, 0.0), (1.0, 1.0))
-
-
-def _check_power_of_two(size: int) -> None:
-    if size < 1 or size & (size - 1):
-        raise ValueError(f"table length {size} is not a power of two")
 
 
 def _factor_bits(n: int) -> tuple[int, ...]:
@@ -47,29 +42,13 @@ def factored(src: np.ndarray, spare: np.ndarray, base: tuple = HADAMARD):
     buffer): `src` and `spare` in some order.
     """
     *lead, size = src.shape
-    _check_power_of_two(size)
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"table length {size} is not a power of two")
     for k in _factor_bits(size.bit_length() - 1):
         rows = src.reshape(*lead, size >> k, 1 << k).swapaxes(-1, -2)
         np.matmul(_block(base, k), rows, out=spare.reshape(*lead, 1 << k, size >> k))
         src, spare = spare, src
     return src, spare
-
-
-def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis, as int64.
-
-    Self-inverse up to a factor of 2**n; the input is left unmodified.
-    Raises ValueError unless sum |x| over every row is below 2**53.
-    """
-    src = np.asarray(values, dtype=np.int64).astype(np.float64)
-    spare = np.empty_like(src)
-    # a float sum of integer magnitudes is exact below 2**53 and cannot round below it
-    if (np.add.reduce(np.abs(src, out=spare), axis=-1) >= EXACT_FLOAT_BOUND).any():
-        raise ValueError("sum |x| of a row reaches 2**53: float64 transform not exact")
-    src, spare = factored(src, spare)
-    out = spare.view(np.int64)
-    np.copyto(out, src, casting="unsafe")
-    return out
 
 
 def mobius_transform(values: np.ndarray) -> np.ndarray:
@@ -81,13 +60,3 @@ def mobius_transform(values: np.ndarray) -> np.ndarray:
     """
     src = np.asarray(values, dtype=np.uint8).astype(np.float64)
     return (factored(src, np.empty_like(src), _ZETA)[0] % 2).astype(np.uint8)
-
-
-def xor_permute(table: np.ndarray, shift: int) -> np.ndarray:
-    """Return t' with t'[x] = table[x ^ shift] (last-axis gather)."""
-    size = table.shape[-1]
-    _check_power_of_two(size)
-    if not 0 <= shift < size:
-        raise ValueError("shift out of range for table length")
-    idx = np.arange(size) ^ shift
-    return table[..., idx]

@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import shlex
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +89,7 @@ def test_find_periods_mode(workdir):
     doc = json.loads(r.stdout)
     assert doc["span_dim"] == 2
     assert doc["oracle_agrees"] is True
+    assert doc["verified"] is True and doc["witness"] is None
 
 
 def test_find_reads_stdin(workdir):
@@ -219,7 +222,6 @@ def test_flags_are_refused_where_they_are_not_read(workdir, capsys):
     assert run_cli("sat3", "--cnf", str(workdir / "demo.cnf"), "--reduce", "--k", "4").returncode == 2
     # each refusal names the flag that would be ignored
     ignored = [
-        (["find", "--f", str(workdir / "F.mtt"), "--mode", "periods", "--verify-p", "5"], "--verify-p"),
         (["plant", "--kind", "structure", "--n", "4", "--dim", "1", "--f", str(workdir / "f.tt")], "--f"),
         (["plant", "--kind", "periods", "--n", "4", "--dim", "1", "--f", str(workdir / "f.tt")], "--f"),
         (["prob", "--verify", "--kmax", "2"], "--kmax"),
@@ -288,11 +290,13 @@ def test_option_inventory():
         (["bench", "--n-max", "25"], "24"),
         (["prob", "--n", "400"], "24"),
         (["plant", "--kind", "periods", "--n", "1", "--dim", "1"], "n >= 2"),
+        # one n gives no ratio, so --check would pass without checking anything
+        (["bench", "--n-min", "10", "--n-max", "10", "--check"], "--check"),
     ],
     ids=[
         "anchors-neg", "rounds-0", "rounds-neg", "repeat-0", "trials-neg", "trials-0", "k-13",
         "rounds-cap-0", "rounds-cap-neg", "verify-p-0", "plant-n-25", "bench-n-max-25",
-        "prob-n-400", "plant-periods-n-1",
+        "prob-n-400", "plant-periods-n-1", "bench-check-one-n",
     ],
 )
 def test_bad_counts_exit_2_with_a_message(workdir, capsys, argv, limit):
@@ -335,12 +339,17 @@ def test_a_broken_table_keeps_its_own_message(tmp_path, capsys):
 
 
 def test_find_passes_rounds_cap_and_verify_p_through(tmp_path, capsys, monkeypatch):
-    f = str(tmp_path / "f.tt")
+    f, F = str(tmp_path / "f.tt"), str(tmp_path / "F.mtt")
     assert cli.main(["plant", "--n", "8", "--dim", "2", "--seed", "11", "--out", f]) == 0
+    assert cli.main(["plant", "--kind", "periods", "--n", "8", "--dim", "2", "--seed", "12", "--out", F]) == 0
     capsys.readouterr()
-    assert cli.main(["find", "--f", f, "--rounds-cap", "3"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["rounds_used"] == 3 and doc["stabilized"] is False
+    for mode, table in (("simple", f), ("periods", F)):
+        assert cli.main(["find", "--f", table, "--mode", mode, "--rounds-cap", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rounds_used"] == 3 and doc["stabilized"] is False
+    # three rounds leave a periods span of dim >= 5, which the probes refute
+    assert doc["verified"] is False and len(doc["witness"]) == 2
+    assert cli.main(["find", "--f", F, "--mode", "periods", "--rounds-cap", "3", "--oracle-check"]) == 1
     probes = []
 
     def spy(f, candidates, p, seed=None):
@@ -348,9 +357,10 @@ def test_find_passes_rounds_cap_and_verify_p_through(tmp_path, capsys, monkeypat
         return oracle.sampled_verify(f, candidates, p, seed)
 
     monkeypatch.setattr(recover, "sampled_verify", spy)
-    assert cli.main(["find", "--f", f]) == 0
-    assert cli.main(["find", "--f", f, "--verify-p", "5"]) == 0
-    assert probes == [64, 5]
+    for mode, table in (("simple", f), ("periods", F)):
+        assert cli.main(["find", "--f", table, "--mode", mode]) == 0
+        assert cli.main(["find", "--f", table, "--mode", mode, "--verify-p", "5"]) == 0
+    assert probes == [64, 5, 64, 5]
 
 
 def test_non_ascii_table_exits_with_usage_error(tmp_path, capsys):
@@ -476,3 +486,14 @@ def test_bench_runs_small(workdir):
 def test_unknown_command_exits_with_usage_error():
     r = run_cli("frobnicate")
     assert r.returncode == 2
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("simonstruct ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "demo.cnf").write_text("p cnf 4 2\n1 -2 3 0\n-1 2 4 0\n")
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)

@@ -269,13 +269,13 @@ def test_planted_r_type_is_found_with_its_count():
 
 def test_violation_points_definition():
     rng = np.random.default_rng(36)
-    n = 5
-    f = random_table(n, rng)
-    for alpha in (0b00001, 0b10110):
-        for c in (0, 1):
-            pts = violation_points(f, BitVector(n, alpha), c)
-            expect = [x for x in range(1 << n) if f(x) ^ f(x ^ alpha) != c]
-            assert [p.bits for p in pts] == expect
+    for n in range(1, 6):
+        f = random_table(n, rng)
+        for alpha in range(1 << n):
+            for c in (0, 1):
+                pts = violation_points(f, BitVector(n, alpha), c)
+                expect = [x for x in range(1 << n) if f(x) ^ f(x ^ alpha) != c]
+                assert [p.bits for p in pts] == expect
     with pytest.raises(ValueError):
         violation_points(f, BitVector(n, 0), 2)
 

@@ -103,7 +103,21 @@ def test_find_periods_recovers_planted_span():
         report = find_periods(F, RunConfig(seed=seed))
         assert span_equal(report.span, basis)
         assert report.stabilized
+        assert report.verified and report.witness is None
         assert report.rounds_used == len(report.ys_collected.rows)
+
+
+def test_a_short_periods_pass_is_caught_by_verification():
+    # one round leaves a span of dim >= n - 1, far above the planted one
+    for seed, (n, dim) in enumerate([(6, 1), (6, 2), (8, 3), (10, 2)]):
+        basis = span_of(n, [1 << j for j in range(dim)])
+        F = plant_periods(n, basis, seed=seed)
+        report = find_periods(F, RunConfig(rounds_cap=1, seed=seed))
+        assert report.span.dim > dim and not report.stabilized
+        assert report.verified is False
+        x, b = report.witness
+        assert F(x.bits) != F(x.bits ^ b.bits)
+        assert b in report.span.basis.rows
 
 
 @pytest.mark.parametrize("run", [find_structure_simple, find_structure_iterative])
