@@ -32,7 +32,7 @@ for i in range(5):
 print(f"\nsuccess probability by total draws k (n = {n}):")
 table = prob_table(n, n + 10)
 print("  k    s(n,k)      log2(1 - s)    measured (10k trials)")
-for k, s, h in table.rows:
+for k, s, h in table:
     if k <= n + 6:
         mc = rank_success_rate(n, k, 10_000, seed=k)
         print(f"  {k:>2}   {s:.6f}   {h:>10.3f}     {mc:.4f}")

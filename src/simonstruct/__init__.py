@@ -45,7 +45,6 @@ from .oracle import (
     violation_points,
 )
 from .probmodel import (
-    ProbTable,
     TrialsBound,
     p_full_exact,
     prob_table,

@@ -202,18 +202,17 @@ def autocorr_values(words: np.ndarray) -> np.ndarray:
 def plant_structure(spec: PlantSpec) -> TruthTable:
     """Random f whose zero-constant structure set is exactly the given span.
 
-    f is constant on each coset of the requested span with independent
-    uniform coset values, retried until no accidental extra structure
-    survives (hard cap on retries).
+    f is constant on each coset of the requested span.  Its 2**(n-dim) coset
+    values are drawn uniformly and redrawn (hard cap on retries) until they
+    have no nonzero structure of their own, so f has no accidental one.
     """
     rng = as_rng(spec.seed)
     idx, free = _coset_index(spec.n, spec.structure_basis)
-    want = 1 << spec.structure_basis.dim
     for _ in range(PLANT_RETRY_CAP):
         values = rng.integers(0, 2, size=1 << free, dtype=np.uint8)
-        table = values[idx]
-        if np.count_nonzero(autocorr_values(table) == table.size) == want:
-            return TruthTable(spec.n, table)
+        # f = h o L with L linear onto the coset indices, kernel the span: U0(f) = L^-1(U0(h))
+        if np.count_nonzero(autocorr_values(values) == values.size) == 1:
+            return TruthTable(spec.n, values[idx])
     raise RuntimeError(
         f"no clean planted instance after {PLANT_RETRY_CAP} attempts "
         f"(n={spec.n}, dim={spec.structure_basis.dim})"

@@ -269,15 +269,15 @@ def cmd_prob(args) -> int:
         return 0 if ok else 1
 
     n = args.n if args.n is not None else 8
-    table = prob_table(n, args.kmax if args.kmax is not None else n + 32)
+    rows = prob_table(n, args.kmax if args.kmax is not None else n + 32)
     if args.format != "csv":
         doc = {
-            "n": table.n,
-            "rows": [{"k": k, "s": s, "h": h} for k, s, h in table.rows],
+            "n": n,
+            "rows": [{"k": k, "s": s, "h": h} for k, s, h in rows],
         }
         text = _json_doc(doc)
     else:
-        text = _csv_doc("n,k,s,h", *(f"{table.n},{k},{s!r},{h!r}" for k, s, h in table.rows))
+        text = _csv_doc("n,k,s,h", *(f"{n},{k},{s!r},{h!r}" for k, s, h in rows))
     _emit(text, args.out)
     return 0
 

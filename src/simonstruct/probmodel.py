@@ -14,7 +14,6 @@ agree exactly; tests hold them to that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -109,16 +108,8 @@ def _log2_fraction(x: Fraction) -> float:
     return math.log2(float(scaled)) - shift
 
 
-@dataclass(frozen=True)
-class ProbTable:
-    """Success probabilities s(n, k) and log2 failure h(n, k) per k."""
-
-    n: int
-    rows: tuple[tuple[int, float, float], ...]
-
-
-def prob_table(n: int, k_max: int) -> ProbTable:
-    """Tabulate success and log-failure probabilities for k = n..k_max."""
+def prob_table(n: int, k_max: int) -> tuple[tuple[int, float, float], ...]:
+    """Rows (k, s(n, k), log2 failure h(n, k)) for k = n..k_max."""
     if k_max < n:
         raise ValueError("k_max must be at least n")
     rows = []
@@ -126,7 +117,7 @@ def prob_table(n: int, k_max: int) -> ProbTable:
         s_val = success_prob_exact(n, k)
         h_val = _log2_fraction(1 - s_val)
         rows.append((k, float(s_val), h_val))
-    return ProbTable(n=n, rows=tuple(rows))
+    return tuple(rows)
 
 
 def pseudo_confirm_prob(n: int, r: int, l: int, p: int) -> float:

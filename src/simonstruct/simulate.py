@@ -86,7 +86,8 @@ class SpanLaw:
         w = factored(indicator, np.empty_like(indicator))[0]
         w = np.square(w, out=w).astype(np.int64)
         np.cumsum(w, out=w)
-        assert int(w[-1]) == size << r, "Parseval: the reduced weights sum to |S| * 2**r"
+        if int(w[-1]) != size << r:
+            raise RuntimeError(f"Parseval: the reduced weights sum to {int(w[-1])}, not |S| * 2**r")
         w.flags.writeable = False
         self.n = n
         self.basis = tuple(basis)

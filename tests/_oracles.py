@@ -3,17 +3,18 @@
 Everything here recomputes quantities straight from their definitions and
 avoids the library's fast paths, so a transform bug cannot hide by sitting
 on both sides of an assertion.  The exceptions keep a computation the
-package replaced (brute_periods_def, coset_index_def), so a rewrite is
-checked against the code it stands in for, or the 2**n expansion of the
-y-law (full_weights_def, y_distribution_def), which the package never needs:
-it draws from the law in S's own span.
+package replaced (brute_periods_def, coset_index_def, plant_structure_def),
+so a rewrite is checked against the code it stands in for, or the 2**n
+expansion of the y-law (full_weights_def, y_distribution_def), which the
+package never needs: it draws from the law in S's own span.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from simonstruct.boolfn import TruthTable, autocorr_values
+from simonstruct.boolfn import PLANT_RETRY_CAP, TruthTable, autocorr_values
+from simonstruct.rng import as_rng
 
 
 def popcount(x: int) -> int:
@@ -140,6 +141,20 @@ def coset_index_def(n: int, basis) -> tuple[np.ndarray, int]:
     for j, c in enumerate(free_cols):
         packed |= ((x >> c) & 1) << j
     return packed, len(free_cols)
+
+
+def plant_structure_def(spec) -> TruthTable:
+    """plant_structure's loop before it checked the quotient: expand every
+    draw of coset values to the 2**n table and accept it when exactly the
+    2**dim words of the span are zero-constant structures."""
+    rng = as_rng(spec.seed)
+    idx, free = coset_index_def(spec.n, spec.structure_basis)
+    want = 1 << spec.structure_basis.dim
+    for _ in range(PLANT_RETRY_CAP):
+        table = rng.integers(0, 2, size=1 << free, dtype=np.uint8)[idx]
+        if np.count_nonzero(autocorr_values(table) == table.size) == want:
+            return TruthTable(spec.n, table)
+    raise RuntimeError("no clean planted instance")
 
 
 def full_weights_def(law) -> np.ndarray:

@@ -97,8 +97,8 @@ def test_criterion_02_success_curve_shape(announce):
     details = []
     for n in (4, 8, 12):
         table = prob_table(n, n + 16)
-        s_vals = [s for _, s, _ in table.rows]
-        h_vals = [h for _, _, h in table.rows]
+        s_vals = [s for _, s, _ in table]
+        h_vals = [h for _, _, h in table]
         shape_ok &= all(a < b for a, b in zip(s_vals, s_vals[1:]))
         shape_ok &= all(a > b for a, b in zip(h_vals, h_vals[1:]))
         shape_ok &= float(success_prob_exact(n, n + 8)) > 0.99 * (1 - 2.0**-8)

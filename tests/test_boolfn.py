@@ -27,7 +27,15 @@ from simonstruct.boolfn import (
 from simonstruct.gf2 import BitVector, span_of
 from simonstruct.oracle import brute_periods, brute_structures
 
-from _oracles import autocorr_def, bit_rows_def, coset_index_def, derivative_def, span_set, structure_sets_def
+from _oracles import (
+    autocorr_def,
+    bit_rows_def,
+    coset_index_def,
+    derivative_def,
+    plant_structure_def,
+    span_set,
+    structure_sets_def,
+)
 
 
 def random_table(n, rng):
@@ -184,6 +192,28 @@ def test_coset_index_matches_the_reduce_and_pack_reference():
             idx, free = _coset_index(n, basis)
             want, want_free = coset_index_def(n, basis)
             assert free == want_free == n - dim and np.array_equal(idx, want)
+
+
+def _planted_or_raised(plant, spec):
+    try:
+        return plant(spec).table.tobytes()
+    except RuntimeError:
+        return "raised"
+
+
+def test_plant_structure_checks_the_quotient_as_the_full_table_did():
+    # n - dim <= 2 rejects about half the draws, so the retry loop runs too
+    rng = np.random.default_rng(27)
+    specs = [(n, dim, seed) for n in range(1, 9) for dim in range(n + 1) for seed in range(20)]
+    specs += [(12, 1, 0), (13, 2, 1), (14, 3, 2), (15, 12, 3), (16, 2, 4), (16, 14, 5)]
+    for n, dim, seed in specs:
+        while True:
+            basis = span_of(n, [int(v) for v in rng.integers(1, 1 << n, size=dim)])
+            if basis.dim == dim:
+                break
+        spec = PlantSpec(n, basis, seed=seed)
+        got = _planted_or_raised(plant_structure, spec)
+        assert got == _planted_or_raised(plant_structure_def, spec), (n, dim, seed)
 
 
 def test_plant_structure_reproducible():

@@ -408,7 +408,7 @@ def test_prob_table_csv(workdir):
     # one row per k, each float written in full so that it reads back exactly
     rows = [line.split(",") for line in lines[2:]]
     assert [(int(n), int(k), float(s), float(h)) for n, k, s, h in rows] == [
-        (2, k, s, h) for k, s, h in prob_table(2, 5).rows
+        (2, k, s, h) for k, s, h in prob_table(2, 5)
     ]
 
 

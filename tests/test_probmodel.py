@@ -90,14 +90,14 @@ def test_direct_route_caps():
 
 def test_prob_table_shape_and_monotonicity():
     table = prob_table(4, 12)
-    ks = [k for k, _, _ in table.rows]
+    ks = [k for k, _, _ in table]
     assert ks == list(range(4, 13))
-    s_vals = [s for _, s, _ in table.rows]
-    h_vals = [h for _, _, h in table.rows]
+    s_vals = [s for _, s, _ in table]
+    h_vals = [h for _, _, h in table]
     assert all(a < b for a, b in zip(s_vals, s_vals[1:]))
     assert all(a > b for a, b in zip(h_vals, h_vals[1:]))
     p = float(p_full_exact(4))
-    assert table.rows[0] == (4, pytest.approx(p), pytest.approx(math.log2(1 - p)))
+    assert table[0] == (4, pytest.approx(p), pytest.approx(math.log2(1 - p)))
     with pytest.raises(ValueError):
         prob_table(4, 3)
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from simonstruct import gf2, simulate
+from simonstruct import gf2, simulate, walsh
 from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_periods, plant_structure
 from simonstruct.gf2 import BitMatrix, BitVector, SpanTracker, null_space_basis, span_equal, span_of
 from simonstruct.rng import as_rng
@@ -411,3 +411,15 @@ def test_one_input_bit():
     assert out.size == 1 and out.weights().r == 0
     assert {sample_y(out, seed=s).bits for s in range(50)} == {0, 1}
     assert collapse(const, [], seed=0).weights().r == 1
+
+
+def test_law_refuses_a_spectrum_that_breaks_parseval(monkeypatch):
+    # a raise, not an assert, so the check on the law's exactness also runs under python -O
+    def off_by_one(src, spare):
+        out, free = walsh.factored(src, spare)
+        out[0] += 1
+        return out, free
+
+    monkeypatch.setattr(simulate, "factored", off_by_one)
+    with pytest.raises(RuntimeError, match="Parseval"):
+        simulate.SpanLaw(3, np.array([0, 3, 5], dtype=np.int64))
