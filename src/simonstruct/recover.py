@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .boolfn import MultiTruthTable, TruthTable
 from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, null_space_basis, span_equal
 from .oracle import VerifyResult, brute_structures, sampled_verify
 from .rng import as_rng
-from .simulate import collapse, sample_y
+from .simulate import AnchorPlanes, collapse, sample_y
 
 __all__ = [
     "RunConfig",
@@ -107,22 +108,22 @@ def _independent_anchors(n: int, count: int, rng) -> list[BitVector]:
     return anchors
 
 
-def _sampling_pass(
-    f: MultiTruthTable, anchors, res: RunConfig, rng
-) -> tuple[BitMatrix, Subspace, bool]:
-    """Collapse f at the anchors and draw one y per round, until the rank
-    stalls for rank_window rounds or the cap hits.
+def _sampling_pass(n: int, measure, res: RunConfig, rng) -> tuple[BitMatrix, Subspace, bool]:
+    """Draw one y per round from measure(rng), a collapse at the pass's fixed
+    anchors, until the rank stalls for rank_window rounds or the cap hits.
 
+    A structure pass measures through AnchorPlanes built for the pass, so
+    each round ANDs bit planes instead of gathering the 2**n table; period
+    finding has no anchors and a multi-output table, and calls collapse.
     Returns (ys, their null space, stabilized).  stabilized is False only
     when the cap ended the pass while the last round still grew the rank
     recently.
     """
-    n = f.n
     tracker = SpanTracker(n)
     ys: list[BitVector] = []
     stall = 0
     while len(ys) < res.rounds_cap and tracker.dim < n and stall < res.rank_window:
-        y = sample_y(collapse(f, anchors, rng), rng)
+        y = sample_y(measure(rng), rng)
         ys.append(y)
         if tracker.add(y.bits):
             stall = 0
@@ -138,7 +139,7 @@ def find_periods(F: MultiTruthTable, cfg: RunConfig | None = None) -> PeriodRepo
     cfg = cfg or RunConfig()
     res = cfg.resolved(F.n)
     rng = as_rng(cfg.seed)
-    ys, span, stabilized = _sampling_pass(F, (), res, rng)
+    ys, span, stabilized = _sampling_pass(F.n, partial(collapse, F, ()), res, rng)
     check = sampled_verify(F, span.basis.rows, res.verify_p, rng)
     return PeriodReport(span, len(ys.rows), stabilized, ys, bool(check), check.witness)
 
@@ -173,7 +174,7 @@ def find_structure_simple(
     res = cfg.resolved(n)
     rng = as_rng(cfg.seed)
     anchors = _independent_anchors(n, n, rng)
-    ys, candidate, stabilized = _sampling_pass(f, anchors, res, rng)
+    ys, candidate, stabilized = _sampling_pass(n, AnchorPlanes(f, anchors).collapse, res, rng)
     return _report(f, candidate, ys, len(ys.rows), stabilized, res, rng, oracle_check)
 
 
@@ -200,7 +201,7 @@ def find_structure_iterative(
     while len(spans) < res.rounds_cap:
         count = n + len(spans) * math.ceil(n / 2)
         anchors = [BitVector(n, int(rng.integers(0, 1 << n))) for _ in range(count)]
-        ys, span, _ = _sampling_pass(f, anchors, res, rng)
+        ys, span, _ = _sampling_pass(n, AnchorPlanes(f, anchors).collapse, res, rng)
         all_rounds += len(ys.rows)
         spans.append(span)
         w = STABILIZE_WINDOW

@@ -10,9 +10,18 @@ Every y drawn this way is orthogonal to each zero-constant structure of f,
 because S is closed under shifting by such a structure and the paired
 terms cancel exactly.
 
-S is found by survivor filtering: one full-table compare at offset 0, then
-each further anchor tests only the inputs still alive, so S is held as a
-sorted index array and never as a 2**n mask.  The law of y is computed in
+S is held as a sorted index array and found on one of two paths, picked by
+the caller from what it does.  A structure pass keeps one anchor set for
+all its rounds, so it builds AnchorPlanes once: f packed 64 inputs to a
+word at offset 0 and at each of the first n anchors.  A round then ANDs
+those bit planes (complementing each one whose observed bit is 0) and
+expands the set bits, with no 2**n gather.  `sample` (the user's anchors,
+often 0 or 1 of them) and period finding (no anchors, a multi-output
+table) call collapse, which filters survivors: one full-table compare at
+offset 0, then each anchor tests only the inputs still alive.  There S is
+wide, and expanding its bits out of planes would cost more than the
+filter.  Anchors past the first n filter the plane survivors the same
+way, so memory stays bounded whatever the pass.  The law of y is computed in
 S's own span: with x0 in S and V = span(S ^ x0) of dimension r, the weight
 of y depends on y only through the r bits b_j . y for a basis b_j of V.  So
 one round draws z from an r-bit integer law and then y uniformly among the
@@ -37,6 +46,7 @@ from .rng import as_rng
 from .walsh import factored
 
 __all__ = [
+    "AnchorPlanes",
     "CollapseOutcome",
     "SpanLaw",
     "collapse",
@@ -140,6 +150,25 @@ class CollapseOutcome:
         return SpanLaw(self.n, self.survivors)
 
 
+def _checked_offsets(f: MultiTruthTable, anchors: Sequence[BitVector]) -> tuple[int, ...]:
+    offsets = []
+    for a in anchors:
+        if a.n != f.n:
+            raise ValueError("dimension mismatch")
+        offsets.append(a.bits)
+    return tuple(offsets)
+
+
+def _filter(
+    table: np.ndarray, survivors: np.ndarray, offsets: Sequence[int], observed: Sequence[int]
+) -> np.ndarray:
+    """The survivors x with table[x ^ a] equal to the observed value, for each offset a."""
+    for a, value in zip(offsets, observed):
+        # compress: several times faster than a boolean index on int64 here
+        survivors = survivors.compress(table[survivors ^ a] == value)
+    return survivors
+
+
 def collapse(
     f: MultiTruthTable,
     anchors: Sequence[BitVector],
@@ -155,22 +184,89 @@ def collapse(
     statistics: an output word is seen with probability |S|/2**n and,
     given the word, the surviving set is S itself.
     """
-    anchors = tuple(anchors)
-    for a in anchors:
-        if a.n != f.n:
-            raise ValueError("dimension mismatch")
+    offsets = _checked_offsets(f, anchors)
     rng = as_rng(seed)
     table = f.table
     m = int(rng.integers(0, 1 << f.n))
-    value = int(table[m])
-    observed = [value]
-    survivors = np.flatnonzero(table == value)
-    for a in anchors:
-        value = int(table[m ^ a.bits])
-        observed.append(value)
-        # compress: several times faster than a boolean index on int64 here
-        survivors = survivors.compress(table[survivors ^ a.bits] == value)
+    observed = [int(table[m ^ a]) for a in (0, *offsets)]
+    survivors = _filter(table, np.flatnonzero(table == observed[0]), offsets, observed[1:])
     return CollapseOutcome(f.n, tuple(observed), survivors)
+
+
+# _SWAP[j] keeps the bits at word positions with bit j clear; x ^ 2**j moves them up by 2**j
+_SWAP = tuple(sum(1 << p for p in range(64) if not (p >> j) & 1) for j in range(6))
+
+
+class AnchorPlanes:
+    """collapse(f, anchors, seed) for one fixed (f, anchors), built once.
+
+    f must have one output bit.  Plane a holds x -> f(x ^ a) packed 64
+    inputs to a uint64 word, input x at bit x & 63 of word x >> 6; the
+    planes are offset 0 and the first min(l, n) anchors.  So they take at
+    most (n + 1) * 2**(n - 3) bytes (n >= 6; 50 MiB at n = 24) however
+    many anchors a pass has.  A round ANDs the planes, each complemented
+    where its observed bit is 0, and the anchors past the first n filter
+    the survivors as collapse does.  The witness m is the only draw, so
+    every outcome and the RNG stream equal collapse's.
+    """
+
+    __slots__ = ("n", "table", "probes", "planes", "valid")
+
+    def __init__(self, f: MultiTruthTable, anchors: Sequence[BitVector]):
+        offsets = _checked_offsets(f, anchors)
+        if f.m_out != 1:
+            raise ValueError(f"anchor planes need a one-output table, got {f.m_out} output bits")
+        n = f.n
+        words = 1 << max(0, n - 6)
+        packed = np.zeros(8 * words, dtype=np.uint8)
+        bits = np.packbits(f.table.astype(np.uint8, copy=False), bitorder="little")
+        packed[: bits.size] = bits
+        base = packed.view("<u8").astype(np.uint64, copy=False)
+        index = np.arange(words)
+        planes = np.empty((1 + min(len(offsets), n), words), dtype=np.uint64)
+        high = np.empty_like(base)
+        for plane, a in zip(planes, (0, *offsets)):
+            np.take(base, index ^ (a >> 6), out=plane)
+            for j in range(6):
+                if (a >> j) & 1:
+                    s, mask = np.uint64(1 << j), np.uint64(_SWAP[j])
+                    np.right_shift(plane, s, out=high)
+                    high &= mask
+                    plane &= mask
+                    plane <<= s
+                    plane |= high
+        planes.flags.writeable = False
+        self.n = n
+        self.table = f.table
+        self.probes = np.array((0, *offsets), dtype=np.int64)
+        self.planes = planes
+        # the bits that hold inputs: for n < 6, bits 2**n..63 of the one word are padding
+        self.valid = np.uint64((1 << min(64, 1 << n)) - 1)
+
+    def collapse(self, seed=None) -> CollapseOutcome:
+        """One round: the outcome collapse(f, anchors, seed) gives."""
+        rng = as_rng(seed)
+        table = self.table
+        m = int(rng.integers(0, 1 << self.n))
+        observed = tuple(table[m ^ self.probes].tolist())
+        hit = np.full(self.planes.shape[1], self.valid)  # AND of the planes that read 1
+        miss = np.zeros_like(hit)  # OR of the planes that read 0
+        for plane, value in zip(self.planes, observed):
+            if value:
+                hit &= plane
+            else:
+                miss |= plane
+        hit &= np.invert(miss, out=miss)
+        nonzero = np.flatnonzero(hit)
+        # little-endian bytes, bits LSB first: bit p of word w is input 64w + p
+        set_bits = np.unpackbits(
+            hit[nonzero].astype("<u8", copy=False).view(np.uint8), bitorder="little"
+        ).reshape(-1, 64)
+        word, bit = np.nonzero(set_bits)
+        survivors = (nonzero[word] << 6) | bit
+        k = len(self.planes)
+        survivors = _filter(table, survivors, self.probes[k:].tolist(), observed[k:])
+        return CollapseOutcome(self.n, observed, survivors)
 
 
 def sample_y(outcome: CollapseOutcome, seed=None) -> BitVector:

@@ -10,6 +10,7 @@ from simonstruct.boolfn import MultiTruthTable, PlantSpec, TruthTable, plant_per
 from simonstruct.gf2 import BitMatrix, BitVector, SpanTracker, null_space_basis, span_equal, span_of
 from simonstruct.rng import as_rng
 from simonstruct.simulate import (
+    AnchorPlanes,
     CollapseOutcome,
     collapse,
     quantum_solve,
@@ -188,6 +189,111 @@ def test_collapse_rejects_mismatched_anchor():
     f = TruthTable(3, np.zeros(8, dtype=np.uint8))
     with pytest.raises(ValueError):
         collapse(f, [BitVector(4, 1)])
+
+
+# ------------------------------------------------------ anchor planes vs collapse
+
+
+def _generators_drawing_each_m(n):
+    """{m: state} for PCG64 states whose next integers(0, 2**n) draw is m."""
+    starts = {}
+    seed = 0
+    while len(starts) < 1 << n:
+        g = np.random.default_rng(seed)
+        state = g.bit_generator.state
+        starts.setdefault(int(g.integers(0, 1 << n)), state)
+        seed += 1
+    return starts
+
+
+def _assert_planes_match(f, anchors, planes, state, r1, r2):
+    """From one generator state, planes.collapse and collapse give one outcome and one stream."""
+    r1.bit_generator.state = state
+    r2.bit_generator.state = state
+    want = collapse(f, anchors, r1)
+    got = planes.collapse(r2)
+    assert got.observed == want.observed
+    assert got.survivors.dtype == np.int64 and not got.survivors.flags.writeable
+    assert np.array_equal(got.survivors, want.survivors)
+    assert r1.bit_generator.state == r2.bit_generator.state
+
+
+def test_anchor_planes_equal_collapse_on_every_small_table():
+    # every table with n <= 3, every anchor list of at most 2 words (ordered,
+    # repeats allowed, for n <= 2; sets of distinct words for n = 3), every m.
+    # At n = 3 a 2-word set takes the one m that cycles with the table code,
+    # so every (table, pair), (pair, m) and (table, m) combination still occurs.
+    r1, r2 = np.random.default_rng(), np.random.default_rng()
+    checked = 0
+    for n in (1, 2, 3):
+        size = 1 << n
+        starts = _generators_drawing_each_m(n)
+        if n < 3:
+            lists = [c for k in range(3) for c in itertools.product(range(size), repeat=k)]
+        else:
+            lists = [c for k in range(3) for c in itertools.combinations(range(size), k)]
+        for code in range(1 << size):
+            f = TruthTable(n, [(code >> i) & 1 for i in range(size)])
+            for i, words in enumerate(lists):
+                anchors = [BitVector(n, w) for w in words]
+                planes = AnchorPlanes(f, anchors)
+                ms = range(size) if n < 3 or len(words) < 2 else [(code + i) % size]
+                for m in ms:
+                    _assert_planes_match(f, anchors, planes, starts[m], r1, r2)
+                    checked += 1
+    assert checked == 4 * 7 * 2 + 16 * 21 * 4 + 256 * (9 * 8 + 28)
+
+
+def test_anchor_planes_equal_collapse_across_word_boundaries():
+    # n = 4..8 crosses the one-word (n < 6) and multi-word layouts; the
+    # anchors set every low bit j < 6, high bits, repeats, and more than n
+    # words, so the survivors of the first n planes go through the filter
+    rng = np.random.default_rng(24)
+    r1, r2 = np.random.default_rng(), np.random.default_rng()
+    for n in range(4, 9):
+        low = [1 << j for j in range(min(n, 6))] + [(1 << min(n, 6)) - 1]
+        high = [w << 6 for w in (1, 3, 2) if w << 6 < 1 << n]
+        uniform = [int(w) for w in rng.integers(0, 1 << n, size=2 * n + 3)]
+        lists = [low, high + low[:2], uniform, uniform[:n] + uniform[:3], [uniform[0]] * (n + 2)]
+        for t in range(4):
+            # one constant table, so some round reads 0 at every offset
+            bits = np.zeros(1 << n, dtype=np.uint8) if t == 0 else rng.integers(0, 2, size=1 << n)
+            f = TruthTable(n, bits)
+            for words in lists:
+                anchors = [BitVector(n, w) for w in words]
+                planes = AnchorPlanes(f, anchors)
+                source = np.random.default_rng(1000 * n + t)
+                for _ in range(6):
+                    _assert_planes_match(f, anchors, planes, source.bit_generator.state, r1, r2)
+                    source.bit_generator.state = r1.bit_generator.state
+        # a one-output MultiTruthTable takes the same path as a TruthTable
+        F = MultiTruthTable(n, 1, rng.integers(0, 2, size=1 << n))
+        anchors = [BitVector(n, w) for w in uniform]
+        _assert_planes_match(F, anchors, AnchorPlanes(F, anchors), r1.bit_generator.state, r1, r2)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_anchor_planes_equal_collapse_on_large_tables(n):
+    rng = np.random.default_rng(n)
+    span = span_of(n, [BitVector(n, int(v)) for v in rng.integers(1, 1 << n, size=2)])
+    f = plant_structure(PlantSpec(n, span, seed=n))
+    r1, r2 = np.random.default_rng(), np.random.default_rng()
+    # one anchor leaves S spread over most words; n + 2 leave a small coset union
+    for count in (1, n + 2):
+        anchors = [BitVector(n, int(w)) for w in rng.integers(0, 1 << n, size=count)]
+        planes = AnchorPlanes(f, anchors)
+        assert planes.planes.nbytes <= (n + 1) << (n - 3)
+        for seed in range(2):
+            _assert_planes_match(f, anchors, planes, np.random.default_rng(seed).bit_generator.state, r1, r2)
+
+
+def test_anchor_planes_refuse_what_collapse_refuses():
+    f = TruthTable(3, np.zeros(8, dtype=np.uint8))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        AnchorPlanes(f, [BitVector(3, 1), BitVector(4, 1)])
+    F = MultiTruthTable(3, 2, np.arange(8) % 4)
+    with pytest.raises(ValueError, match="one-output"):
+        AnchorPlanes(F, [BitVector(3, 1)])
 
 
 # ------------------------------------------------------ reduced law vs definition
