@@ -39,12 +39,19 @@ __all__ = [
 
 PLANT_RETRY_CAP = 64
 
+# a table word is the first of these that holds m_out bits
+_WORDS = (np.uint8, np.uint16, np.uint32, np.int64)
+
 
 class MultiTruthTable:
-    """Vector-valued Boolean function: one m_out-bit word per input, read-only."""
+    """Vector-valued Boolean function: one m_out-bit word per input, read-only.
+
+    table holds the narrowest word the outputs fit: uint8 up to 8 output
+    bits, uint16 up to 16, uint32 up to 32 and int64 above.  Readers convert
+    with int() or astype and never negate or subtract a word as an integer.
+    """
 
     __slots__ = ("n", "m_out", "table")
-    _dtype = np.int64
 
     def __init__(self, n: int, m_out: int, table):
         _check_dim(n)
@@ -58,7 +65,7 @@ class MultiTruthTable:
             raise ValueError(f"table entries must be integers, got dtype {arr.dtype}")
         if arr.min() < 0 or arr.max() >= (1 << m_out):
             raise ValueError(f"table entries must lie in 0..{(1 << m_out) - 1}")
-        arr = arr.astype(self._dtype)
+        arr = arr.astype(next(t for t in _WORDS if m_out <= 8 * np.dtype(t).itemsize))
         arr.flags.writeable = False
         self.n = n
         self.m_out = m_out
@@ -87,7 +94,6 @@ class TruthTable(MultiTruthTable):
     """Single-output Boolean function: the one-output table, held as 0/1 uint8."""
 
     __slots__ = ()
-    _dtype = np.uint8
 
     def __init__(self, n: int, table):
         super().__init__(n, 1, table)

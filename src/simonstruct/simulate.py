@@ -27,7 +27,10 @@ of y depends on y only through the r bits b_j . y for a basis b_j of V.  So
 one round draws z from an r-bit integer law and then y uniformly among the
 2**(n-r) words with b_j . y = z_j.  All weights are integers summing to
 |S| * 2**r <= 2**48 (checked), so the support is exact and the cumulative
-table used for drawing never rounds.
+table used for drawing never rounds.  Most rounds leave a coset of V
+(|S| = 2**r): then S ^ x0 = V, its transform is +-2**r at z = 0 and 0
+elsewhere, and the law is exactly a point mass at z = 0 (y uniform on V's
+dual), written down with no transform.
 
 An outcome caches nothing: weights() builds the law on every call, and a
 caller that sees one word many times keeps its law, as `sample` does.
@@ -67,7 +70,9 @@ class SpanLaw:
     running sum of W'(z) over z in [0, 2**r), where W' is the squared r-bit
     transform of the indicator of the coordinates c(s)_j = bit p_j of s ^ x0.
     The full-table weight is W(y) = W'(z) with z_j = b_j . y, and each z has
-    2**(n-r) such y, all of equal weight.  r = n is the identity basis.
+    2**(n-r) such y, all of equal weight.  r = n is the identity basis.  A
+    coset (|S| = 2**r, so S ^ x0 = V) has W'(0) = 4**r and W' = 0 elsewhere,
+    exactly; its cumulative is that point mass, built with no transform.
     """
 
     __slots__ = ("n", "basis", "free", "cumulative")
@@ -83,21 +88,25 @@ class SpanLaw:
         r = len(basis)
         if size << r > EXACT_TOTAL_CAP:
             raise ValueError(f"law total {size} * 2**{r} exceeds the exact bound 2**48")
-        if r == n:
-            # identity basis: pivot j is bit j, so the coordinates are the offsets
-            coords = offsets
+        if size == 1 << r:
+            # S ^ x0 = V, a coset: its r-bit transform is +-2**r at z = 0 and 0 elsewhere
+            w = np.full(1 << r, size << r, dtype=np.int64)
         else:
-            coords = np.zeros(size, dtype=np.int64)
-            for j, b in enumerate(basis):
-                coords |= ((offsets >> ((b & -b).bit_length() - 1)) & 1) << j
-        # sum |x| = |S| <= 2**24, W'**2 <= |S| * 2**r <= 2**48 (checked above): float64 is exact
-        indicator = np.zeros(1 << r)
-        indicator[coords] = 1.0
-        w = factored(indicator, np.empty_like(indicator))[0]
-        w = np.square(w, out=w).astype(np.int64)
-        np.cumsum(w, out=w)
-        if int(w[-1]) != size << r:
-            raise RuntimeError(f"Parseval: the reduced weights sum to {int(w[-1])}, not |S| * 2**r")
+            if r == n:
+                # identity basis: pivot j is bit j, so the coordinates are the offsets
+                coords = offsets
+            else:
+                coords = np.zeros(size, dtype=np.int64)
+                for j, b in enumerate(basis):
+                    coords |= ((offsets >> ((b & -b).bit_length() - 1)) & 1) << j
+            # sum |x| = |S| <= 2**24, W'**2 <= |S| * 2**r <= 2**48 (checked above): float64 is exact
+            indicator = np.zeros(1 << r)
+            indicator[coords] = 1.0
+            w = factored(indicator, np.empty_like(indicator))[0]
+            w = np.square(w, out=w).astype(np.int64)
+            np.cumsum(w, out=w)
+            if int(w[-1]) != size << r:
+                raise RuntimeError(f"Parseval: the reduced weights sum to {int(w[-1])}, not |S| * 2**r")
         w.flags.writeable = False
         self.n = n
         self.basis = tuple(basis)
@@ -219,7 +228,7 @@ class AnchorPlanes:
         n = f.n
         words = 1 << max(0, n - 6)
         packed = np.zeros(8 * words, dtype=np.uint8)
-        bits = np.packbits(f.table.astype(np.uint8, copy=False), bitorder="little")
+        bits = np.packbits(f.table, bitorder="little")  # one output bit, so uint8 already
         packed[: bits.size] = bits
         base = packed.view("<u8").astype(np.uint64, copy=False)
         index = np.arange(words)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from simonstruct.boolfn import PLANT_RETRY_CAP, TruthTable, autocorr_values
+from simonstruct.gf2 import span_of
 from simonstruct.rng import as_rng
 
 
@@ -209,6 +210,23 @@ def rref_def(rows, n: int) -> list[int]:
                 work[r] ^= work[row]
         row += 1
     return work[:row]
+
+
+def every_subspace(n: int) -> list:
+    """Each subspace of GF(2)^n once, grown one word at a time from {0}."""
+    found = {(): span_of(n, [])}
+    frontier = [()]
+    while frontier:
+        grown = []
+        for rows in frontier:
+            for v in range(1, 1 << n):
+                sub = span_of(n, [*rows, v])
+                key = tuple(sub.basis.row_ints())
+                if key not in found:
+                    found[key] = sub
+                    grown.append(key)
+        frontier = grown
+    return list(found.values())
 
 
 def span_set(vectors) -> set[int]:

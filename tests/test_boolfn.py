@@ -32,6 +32,7 @@ from _oracles import (
     bit_rows_def,
     coset_index_def,
     derivative_def,
+    every_subspace,
     plant_structure_def,
     span_set,
     structure_sets_def,
@@ -93,7 +94,7 @@ def test_truth_table_is_the_one_output_multi_truth_table():
     f = TruthTable(2, [0, 1, 1, 0])
     F = MultiTruthTable(2, 1, [0, 1, 1, 0])
     assert isinstance(f, MultiTruthTable) and f.m_out == 1
-    assert f.table.dtype == np.uint8 and F.table.dtype == np.int64
+    assert f.table.dtype == F.table.dtype == np.uint8
     # same words, different kinds: the types stay apart
     assert f != F and F != f
     # so the period oracle reads a one-output table as the c = 0 structures
@@ -101,6 +102,19 @@ def test_truth_table_is_the_one_output_multi_truth_table():
         for code in range(1 << (1 << n)):
             g = TruthTable(n, [(code >> x) & 1 for x in range(1 << n)])
             assert np.array_equal(brute_periods(g).member_ints(), brute_structures(g).u0.member_ints())
+
+
+def test_table_word_is_the_narrowest_that_holds_the_outputs():
+    rng = np.random.default_rng(29)
+    for m_out in range(1, 64):
+        want = np.uint8 if m_out <= 8 else np.uint16 if m_out <= 16 else np.uint32 if m_out <= 32 else np.int64
+        words = rng.integers(0, 1 << m_out, size=8, dtype=np.int64)
+        words[-1] |= 1 << (m_out - 1)
+        F = MultiTruthTable(3, m_out, words)
+        assert F.table.dtype == want and not F.table.flags.writeable
+        assert F.table.tolist() == words.tolist()
+        again = parse_multi_truth_table(format_multi_truth_table(F))
+        assert again == F and again.table.dtype == want
 
 
 def test_anf_round_trip_random():
@@ -156,27 +170,10 @@ def test_plant_structure_sets_exact_span():
         assert u0 == span_set(basis.basis.row_ints())
 
 
-def _every_subspace(n):
-    """Each subspace of GF(2)^n once, grown one word at a time from {0}."""
-    found = {(): span_of(n, [])}
-    frontier = [()]
-    while frontier:
-        grown = []
-        for rows in frontier:
-            for v in range(1, 1 << n):
-                sub = span_of(n, [*rows, v])
-                key = tuple(sub.basis.row_ints())
-                if key not in found:
-                    found[key] = sub
-                    grown.append(key)
-        frontier = grown
-    return list(found.values())
-
-
 def test_coset_index_matches_the_reduce_and_pack_reference():
     # counts are the sums of Gaussian binomials: every subspace for n <= 5
     for n, count in ((1, 2), (2, 5), (3, 16), (4, 67), (5, 374)):
-        subspaces = _every_subspace(n)
+        subspaces = every_subspace(n)
         assert len(subspaces) == count
         for basis in subspaces:
             idx, free = _coset_index(n, basis)

@@ -20,6 +20,7 @@ from simonstruct.simulate import (
 
 from _oracles import (
     butterfly_def,
+    every_subspace,
     full_weights_def,
     popcount,
     slow_walsh,
@@ -296,6 +297,63 @@ def test_anchor_planes_refuse_what_collapse_refuses():
         AnchorPlanes(F, [BitVector(3, 1)])
 
 
+def test_anchor_planes_are_right_for_every_unit_table_and_anchor():
+    # The build is GF(2)-linear in f: a word gather, then shifts, constant
+    # masks and ORs of disjoint halves.  So the planes of the 2**n unit tables
+    # decide the planes of every table, and this sweep of every unit table
+    # with every anchor covers every f with n <= 8.  Linearity is a property
+    # of the code, not something this sweep checks, so the random- and
+    # large-table tests above stay.
+    builds = 0
+    for n in range(1, 9):
+        size = 1 << n
+        chunks = [range(lo, min(lo + n, size)) for lo in range(0, size, n)]
+        anchor_lists = [[BitVector(n, a) for a in chunk] for chunk in chunks]
+        for i in range(size):
+            f = TruthTable(n, np.arange(size) == i)
+            for chunk, anchors in zip(chunks, anchor_lists):
+                planes = AnchorPlanes(f, anchors).planes
+                bits = np.unpackbits(planes.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+                # plane a holds f(x ^ a): one set bit, at input i ^ a, and clear padding
+                want = np.zeros_like(bits)
+                want[np.arange(len(planes)), [i, *(i ^ a for a in chunk)]] = 1
+                assert np.array_equal(bits, want), (n, i, list(chunk))
+                builds += 1
+    assert builds == 11652
+
+
+def test_anchor_planes_round_keeps_the_inputs_whose_column_is_the_observed_word():
+    # Given right planes (the unit-table sweep above), a round's survivors
+    # depend only on each input's column of plane bits and the observed word,
+    # and the AND, OR and NOT act bit by bit.  f = x_0 ^ x_1 x_{k+1} ^ ... ^
+    # x_k x_{2k} with anchors e_{k+1}, ..., e_{2k} has f(x ^ e_{k+j}) = f(x) ^ x_j,
+    # so the k + 1 plane columns take all 2**(k+1) values, each at 2**(n-k-1)
+    # inputs spread over every word; every m is drawn, so every column meets
+    # every observed word.  n = 5 has one padded word; n = 8 has four.  Then
+    # the first n anchors repeat those k, so two more anchors past them
+    # filter the 2**(n-k-1) inputs of each column.
+    rng = np.random.default_rng(12)
+    for n, k in ((5, 2), (8, 3)):
+        x = np.arange(1 << n)
+        bit = [(x >> j) & 1 for j in range(n)]
+        f = TruthTable(n, (bit[0] + sum(bit[j] & bit[k + j] for j in range(1, k + 1))) & 1)
+        paired = [1 << (k + j) for j in range(1, k + 1)]
+        starts = _generators_drawing_each_m(n)
+        for words in (paired, paired * n + [int(w) for w in rng.integers(0, 1 << n, size=2)]):
+            planes = AnchorPlanes(f, [BitVector(n, w) for w in words])
+            columns = f.table[x[:, None] ^ np.array([0, *words])]
+            assert len(np.unique(columns[:, : n + 1], axis=0)) == 2 << k
+            seen = set()
+            source = np.random.default_rng()
+            for m, state in starts.items():
+                source.bit_generator.state = state
+                out = planes.collapse(source)
+                assert out.observed == tuple(columns[m].tolist())
+                assert out.survivors.tolist() == np.flatnonzero((columns == columns[m]).all(axis=1)).tolist()
+                seen.add(out.observed)
+            assert len(seen) == len(np.unique(columns, axis=0))
+
+
 # ------------------------------------------------------ reduced law vs definition
 
 
@@ -395,6 +453,33 @@ def test_reduced_law_equals_the_full_table_definition():
             want = next(o for o in outcomes if o.observed == got.observed)
             assert got.survivors.tolist() == want.survivors.tolist()
     assert checked > 40000
+
+
+def test_coset_law_is_a_point_mass_with_no_transform(monkeypatch):
+    # |S| = 2**r makes S ^ x0 = V, so S's r-bit transform is +-2**r at z = 0
+    # and 0 elsewhere: y is uniform on V's dual.  Every coset of every
+    # subspace for n <= 4 (372 sets: one survivor, S = everything and all
+    # between) gives the definition's law, and none reaches the transform.
+    def refuse(src, spare):
+        raise AssertionError("a coset's law needs no transform")
+
+    monkeypatch.setattr(simulate, "factored", refuse)
+    cache = {}
+    checked = 0
+    for n in range(1, 5):
+        for sub in every_subspace(n):
+            members = sub.member_ints()
+            for x0 in range(1 << n):
+                coset = np.sort(members ^ x0)
+                if coset[0] != x0:
+                    continue
+                out = CollapseOutcome(n, (), coset)
+                assert out.weights().r == sub.dim
+                _assert_reduced_law_exact(out, cache)
+                if n <= 3:
+                    _assert_draws_exact(out, cache)
+                checked += 1
+    assert checked == 372
 
 
 def test_full_weights_equal_the_parity_expansion():
