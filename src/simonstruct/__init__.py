@@ -40,6 +40,7 @@ from .oracle import (
     autocorrelation,
     brute_periods,
     brute_structures,
+    is_u0,
     r_type_scan,
     sampled_verify,
     violation_points,

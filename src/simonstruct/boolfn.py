@@ -43,6 +43,11 @@ PLANT_RETRY_CAP = 64
 _WORDS = (np.uint8, np.uint16, np.uint32, np.int64)
 
 
+def _word(m_out: int) -> type:
+    """The narrowest table word that holds m_out output bits."""
+    return next(t for t in _WORDS if m_out <= 8 * np.dtype(t).itemsize)
+
+
 class MultiTruthTable:
     """Vector-valued Boolean function: one m_out-bit word per input, read-only.
 
@@ -65,7 +70,7 @@ class MultiTruthTable:
             raise ValueError(f"table entries must be integers, got dtype {arr.dtype}")
         if arr.min() < 0 or arr.max() >= (1 << m_out):
             raise ValueError(f"table entries must lie in 0..{(1 << m_out) - 1}")
-        arr = arr.astype(next(t for t in _WORDS if m_out <= 8 * np.dtype(t).itemsize))
+        arr = arr.astype(_word(m_out))
         arr.flags.writeable = False
         self.n = n
         self.m_out = m_out
@@ -205,6 +210,12 @@ def autocorr_values(words: np.ndarray) -> np.ndarray:
     return out
 
 
+def _no_structure(values: np.ndarray) -> bool:
+    """True when 0 is the only zero-constant structure of the 0/1 table values.
+    For f = h o L with L linear and onto, U0(f) = L^-1(U0(h)) is ker L iff h passes."""
+    return np.count_nonzero(autocorr_values(values) == values.size) == 1
+
+
 def plant_structure(spec: PlantSpec) -> TruthTable:
     """Random f whose zero-constant structure set is exactly the given span.
 
@@ -216,8 +227,8 @@ def plant_structure(spec: PlantSpec) -> TruthTable:
     idx, free = _coset_index(spec.n, spec.structure_basis)
     for _ in range(PLANT_RETRY_CAP):
         values = rng.integers(0, 2, size=1 << free, dtype=np.uint8)
-        # f = h o L with L linear onto the coset indices, kernel the span: U0(f) = L^-1(U0(h))
-        if np.count_nonzero(autocorr_values(values) == values.size) == 1:
+        # f = h o L with L linear onto the coset indices and kernel the span
+        if _no_structure(values):
             return TruthTable(spec.n, values[idx])
     raise RuntimeError(
         f"no clean planted instance after {PLANT_RETRY_CAP} attempts "
@@ -257,7 +268,8 @@ def plant_periods(n: int, basis: Subspace, seed=None) -> MultiTruthTable:
     m_out = n - 1
     # distinct output words make F injective on coset representatives
     words = rng.choice(1 << m_out, size=1 << free, replace=False)
-    return MultiTruthTable(n, m_out, words.astype(np.int64)[idx])
+    # narrowed before the gather, so no 2**n int64 temporary is made
+    return MultiTruthTable(n, m_out, words.astype(_word(m_out))[idx])
 
 
 # ---------------------------------------------------------------------------

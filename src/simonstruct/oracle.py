@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .boolfn import MultiTruthTable, TruthTable, autocorr_values
+from .boolfn import MultiTruthTable, TruthTable, _coset_index, _no_structure, autocorr_values
 from .gf2 import MAX_DIMENSION, BitVector, Subspace, span_of
 from .rng import as_rng
 
@@ -29,6 +29,7 @@ __all__ = [
     "autocorrelation",
     "brute_periods",
     "brute_structures",
+    "is_u0",
     "r_type_scan",
     "violation_points",
     "sampled_verify",
@@ -112,6 +113,20 @@ def brute_structures(f: TruthTable, cap: int = MAX_DIMENSION) -> StructureSets:
     if f.n > cap:
         raise ValueError(f"dimension {f.n} exceeds table cap {cap}")
     return _structure_sets(autocorrelation(f))
+
+
+def is_u0(f: TruthTable, span: Subspace) -> bool:
+    """Exactly whether span is U0(f), decided on f's 2**(n-dim) coset values h.
+
+    f must be constant on span's cosets, and then f = h o L with L the coset
+    index, linear with kernel span: U0(f) = L^-1(U0(h)) is span iff U0(h) = {0}.
+    """
+    if span.n != f.n:
+        raise ValueError("dimension mismatch")
+    idx, free = _coset_index(f.n, span)
+    values = np.empty(1 << free, dtype=f.table.dtype)
+    values[idx] = f.table  # L is onto: every coset gets the value of one of its members
+    return bool(np.array_equal(values[idx], f.table)) and _no_structure(values)
 
 
 def brute_periods(F: MultiTruthTable) -> Subspace:

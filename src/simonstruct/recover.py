@@ -17,7 +17,7 @@ from functools import partial
 
 from .boolfn import MultiTruthTable, TruthTable
 from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, null_space_basis, span_equal
-from .oracle import VerifyResult, brute_structures, sampled_verify
+from .oracle import VerifyResult, is_u0, sampled_verify
 from .rng import as_rng
 from .simulate import AnchorPlanes, collapse, sample_y
 
@@ -115,9 +115,9 @@ def _sampling_pass(n: int, measure, res: RunConfig, rng) -> tuple[BitMatrix, Sub
     A structure pass measures through AnchorPlanes built for the pass, so
     each round ANDs bit planes instead of gathering the 2**n table; period
     finding has no anchors and a multi-output table, and calls collapse.
-    Returns (ys, their null space, stabilized).  stabilized is False only
-    when the cap ended the pass while the last round still grew the rank
-    recently.
+    Returns (ys, their null space, read off the tracker's rows, stabilized).
+    stabilized is False only when the cap ended the pass while the last
+    round still grew the rank recently.
     """
     tracker = SpanTracker(n)
     ys: list[BitVector] = []
@@ -129,8 +129,8 @@ def _sampling_pass(n: int, measure, res: RunConfig, rng) -> tuple[BitMatrix, Sub
             stall = 0
         else:
             stall += 1
-    mat = BitMatrix(n, tuple(ys))
-    return mat, null_space_basis(mat), tracker.dim == n or stall >= res.rank_window
+    null = null_space_basis(BitMatrix.from_ints(n, tracker.basis_ints()))
+    return BitMatrix(n, tuple(ys)), null, tracker.dim == n or stall >= res.rank_window
 
 
 def find_periods(F: MultiTruthTable, cfg: RunConfig | None = None) -> PeriodReport:
@@ -155,9 +155,11 @@ def _report(
     oracle_check: bool,
 ) -> StructureReport:
     """Verify the candidate against f by probing; with oracle_check, flag a
-    verified candidate that is not the true U0 as pseudo."""
+    verified candidate that is not the true U0 as pseudo.  The oracle decides
+    exactly on the quotient: f constant on the candidate's cosets, and its
+    2**(n-dim) coset values with no nonzero structure (oracle.is_u0)."""
     check: VerifyResult = sampled_verify(f, candidate.basis.rows, res.verify_p, rng)
-    pseudo = bool(oracle_check and check) and not span_equal(candidate, brute_structures(f).u0)
+    pseudo = bool(oracle_check and check) and not is_u0(f, candidate)
     return StructureReport(
         candidate, bool(check), rounds, ys, pseudo, stabilized, oracle_check, check.witness
     )

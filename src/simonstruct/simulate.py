@@ -18,10 +18,12 @@ those bit planes (complementing each one whose observed bit is 0) and
 expands the set bits, with no 2**n gather.  `sample` (the user's anchors,
 often 0 or 1 of them) and period finding (no anchors, a multi-output
 table) call collapse, which filters survivors: one full-table compare at
-offset 0, then each anchor tests only the inputs still alive.  There S is
+offset 0, then the anchors test only the inputs still alive, in blocks of
+up to 2**n // |S| anchors, so no gather exceeds 2**n entries.  There S is
 wide, and expanding its bits out of planes would cost more than the
 filter.  Anchors past the first n filter the plane survivors the same
-way, so memory stays bounded whatever the pass.  The law of y is computed in
+way; those are few, so one gather tests every later anchor, and memory
+stays bounded whatever the pass.  The law of y is computed in
 S's own span: with x0 in S and V = span(S ^ x0) of dimension r, the weight
 of y depends on y only through the r bits b_j . y for a basis b_j of V.  So
 one round draws z from an r-bit integer law and then y uniformly among the
@@ -30,7 +32,7 @@ one round draws z from an r-bit integer law and then y uniformly among the
 table used for drawing never rounds.  Most rounds leave a coset of V
 (|S| = 2**r): then S ^ x0 = V, its transform is +-2**r at z = 0 and 0
 elsewhere, and the law is exactly a point mass at z = 0 (y uniform on V's
-dual), written down with no transform.
+dual), one shared array per r, drawn with no transform or search.
 
 An outcome caches nothing: weights() builds the law on every call, and a
 caller that sees one word many times keeps its law, as `sample` does.
@@ -44,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolfn import MultiTruthTable
-from .gf2 import BitMatrix, BitVector, SpanTracker, Subspace, null_space_basis
+from .gf2 import MAX_DIMENSION, BitMatrix, BitVector, SpanTracker, Subspace, null_space_basis
 from .rng import as_rng
 from .walsh import factored
 
@@ -61,6 +63,10 @@ __all__ = [
 # |S| * 2**r <= 2**n * 2**n for n <= 24; int64 cumulative sums stay exact
 EXACT_TOTAL_CAP = 1 << 48
 
+# the cumulative law of every coset of dimension r, W'(0) = 4**r and 0 elsewhere,
+# shared per r as a read-only broadcast of one int64, so it holds no 2**r buffer
+_POINT_MASS = tuple(np.broadcast_to(np.int64(4**r), 1 << r) for r in range(MAX_DIMENSION + 1))
+
 
 class SpanLaw:
     """Exact integer law of y for one surviving set S, held in S's span.
@@ -72,7 +78,7 @@ class SpanLaw:
     The full-table weight is W(y) = W'(z) with z_j = b_j . y, and each z has
     2**(n-r) such y, all of equal weight.  r = n is the identity basis.  A
     coset (|S| = 2**r, so S ^ x0 = V) has W'(0) = 4**r and W' = 0 elsewhere,
-    exactly; its cumulative is that point mass, built with no transform.
+    exactly; its cumulative is that point mass, shared per r (_POINT_MASS).
     """
 
     __slots__ = ("n", "basis", "free", "cumulative")
@@ -90,7 +96,7 @@ class SpanLaw:
             raise ValueError(f"law total {size} * 2**{r} exceeds the exact bound 2**48")
         if size == 1 << r:
             # S ^ x0 = V, a coset: its r-bit transform is +-2**r at z = 0 and 0 elsewhere
-            w = np.full(1 << r, size << r, dtype=np.int64)
+            w = _POINT_MASS[r]
         else:
             if r == n:
                 # identity basis: pivot j is bit j, so the coordinates are the offsets
@@ -107,7 +113,7 @@ class SpanLaw:
             np.cumsum(w, out=w)
             if int(w[-1]) != size << r:
                 raise RuntimeError(f"Parseval: the reduced weights sum to {int(w[-1])}, not |S| * 2**r")
-        w.flags.writeable = False
+            w.flags.writeable = False
         self.n = n
         self.basis = tuple(basis)
         self.free = ((1 << n) - 1) & ~sum(b & -b for b in basis)
@@ -125,7 +131,8 @@ class SpanLaw:
     def draw(self, rng: np.random.Generator) -> int:
         """One y: z by inverse cumulative lookup, then y uniform over its fiber."""
         t = int(rng.integers(0, self.total))
-        z = int(np.searchsorted(self.cumulative, t, side="right"))
+        # exact for any law, and always taken by a coset's point mass
+        z = 0 if t < self.cumulative[0] else int(np.searchsorted(self.cumulative, t, side="right"))
         y = int(rng.integers(0, 1 << self.n)) & self.free
         # b_j is zero on every other pivot, so b_j & y sees only the free bits
         for j, b in enumerate(self.basis):
@@ -169,12 +176,20 @@ def _checked_offsets(f: MultiTruthTable, anchors: Sequence[BitVector]) -> tuple[
 
 
 def _filter(
-    table: np.ndarray, survivors: np.ndarray, offsets: Sequence[int], observed: Sequence[int]
+    table: np.ndarray, survivors: np.ndarray, offsets: np.ndarray, observed: np.ndarray
 ) -> np.ndarray:
-    """The survivors x with table[x ^ a] equal to the observed value, for each offset a."""
-    for a, value in zip(offsets, observed):
+    """The survivors x with table[x ^ a] equal to the observed value, for each offset a.
+
+    Offsets go in blocks of up to 2**n // |S|, so no gather exceeds 2**n entries: a
+    wide S takes one at a time, and the few inputs a plane round leaves take all in one.
+    """
+    i = 0
+    while i < offsets.size:
+        k = max(1, table.size // survivors.size)
+        keep = (table[survivors[:, None] ^ offsets[i : i + k]] == observed[i : i + k]).all(axis=1)
         # compress: several times faster than a boolean index on int64 here
-        survivors = survivors.compress(table[survivors ^ a] == value)
+        survivors = survivors.compress(keep)
+        i += k
     return survivors
 
 
@@ -197,9 +212,14 @@ def collapse(
     rng = as_rng(seed)
     table = f.table
     m = int(rng.integers(0, 1 << f.n))
-    observed = [int(table[m ^ a]) for a in (0, *offsets)]
-    survivors = _filter(table, np.flatnonzero(table == observed[0]), offsets, observed[1:])
-    return CollapseOutcome(f.n, tuple(observed), survivors)
+    observed = (int(table[m]),)
+    survivors = np.flatnonzero(table == observed[0])
+    if offsets:  # period finding has none, and pays for no offset arrays
+        probes = np.array(offsets, dtype=np.int64)
+        values = table[m ^ probes]
+        survivors = _filter(table, survivors, probes, values)
+        observed += tuple(values.tolist())
+    return CollapseOutcome(f.n, observed, survivors)
 
 
 # _SWAP[j] keeps the bits at word positions with bit j clear; x ^ 2**j moves them up by 2**j
@@ -257,16 +277,19 @@ class AnchorPlanes:
         rng = as_rng(seed)
         table = self.table
         m = int(rng.integers(0, 1 << self.n))
-        observed = tuple(table[m ^ self.probes].tolist())
-        hit = np.full(self.planes.shape[1], self.valid)  # AND of the planes that read 1
-        miss = np.zeros_like(hit)  # OR of the planes that read 0
-        for plane, value in zip(self.planes, observed):
+        values = table[m ^ self.probes]
+        observed = tuple(values.tolist())
+        # plane 0, complemented on the input bits if it reads 0; padding is clear in every plane
+        hit = self.planes[0] ^ (0 if observed[0] else self.valid)
+        miss = None  # OR of the later planes that read 0
+        for plane, value in zip(self.planes[1:], observed[1:]):
             if value:
                 hit &= plane
             else:
-                miss |= plane
-        hit &= np.invert(miss, out=miss)
-        nonzero = np.flatnonzero(hit)
+                miss = plane.copy() if miss is None else np.bitwise_or(miss, plane, out=miss)
+        if miss is not None:
+            hit &= np.invert(miss, out=miss)
+        nonzero = np.flatnonzero(hit != 0)
         # little-endian bytes, bits LSB first: bit p of word w is input 64w + p
         set_bits = np.unpackbits(
             hit[nonzero].astype("<u8", copy=False).view(np.uint8), bitorder="little"
@@ -274,7 +297,7 @@ class AnchorPlanes:
         word, bit = np.nonzero(set_bits)
         survivors = (nonzero[word] << 6) | bit
         k = len(self.planes)
-        survivors = _filter(table, survivors, self.probes[k:].tolist(), observed[k:])
+        survivors = _filter(table, survivors, self.probes[k:], values[k:])
         return CollapseOutcome(self.n, observed, survivors)
 
 

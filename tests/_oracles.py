@@ -3,10 +3,10 @@
 Everything here recomputes quantities straight from their definitions and
 avoids the library's fast paths, so a transform bug cannot hide by sitting
 on both sides of an assertion.  The exceptions keep a computation the
-package replaced (brute_periods_def, coset_index_def, plant_structure_def),
-so a rewrite is checked against the code it stands in for, or the 2**n
-expansion of the y-law (full_weights_def, y_distribution_def), which the
-package never needs: it draws from the law in S's own span.
+package replaced (brute_periods_def, coset_index_def, plant_structure_def,
+filter_def), so a rewrite is checked against the code it stands in for,
+or the 2**n expansion of the y-law (full_weights_def, y_distribution_def),
+which the package never needs: it draws from the law in S's own span.
 """
 
 from fractions import Fraction
@@ -172,6 +172,15 @@ def full_weights_def(law) -> np.ndarray:
 def y_distribution_def(outcome) -> np.ndarray:
     """Probability of every y for one collapse outcome: W(y) / (|S| * 2**n)."""
     return full_weights_def(outcome.weights()) / float(outcome.size << outcome.n)
+
+
+def filter_def(table, survivors, offsets, observed) -> np.ndarray:
+    """The survivors x with table[x ^ a] == v for each offset a and observed
+    value v, one anchor at a time: collapse's filter before it took blocks."""
+    out = np.asarray(survivors, dtype=np.int64)
+    for a, v in zip(np.asarray(offsets).tolist(), np.asarray(observed).tolist()):
+        out = out[table[out ^ a] == v]
+    return out
 
 
 def bit_rows_def(words, width: int) -> str:

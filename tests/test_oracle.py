@@ -15,13 +15,14 @@ from simonstruct.boolfn import (
     plant_r_type,
     plant_structure,
 )
-from simonstruct.gf2 import MAX_DIMENSION, BitVector, span_of
+from simonstruct.gf2 import MAX_DIMENSION, BitVector, span_equal, span_of
 from simonstruct.oracle import (
     _subspace_from_members,
     anchored_confirm,
     autocorrelation,
     brute_periods,
     brute_structures,
+    is_u0,
     r_type_scan,
     sampled_verify,
     violation_points,
@@ -30,6 +31,7 @@ from simonstruct.oracle import (
 from _oracles import (
     autocorr_def,
     brute_periods_def,
+    every_subspace,
     period_set_def,
     span_set,
     structure_sets_def,
@@ -103,6 +105,56 @@ def test_brute_structures_matches_scan():
         if sets.u1:
             base = sets.u1[0].bits
             assert {base ^ v.bits for v in sets.u1} == u0_def
+
+
+def test_is_u0_decides_as_the_full_spectrum_does():
+    # The reference reads U0 off brute_structures' 2**n spectrum; is_u0 decides
+    # on the 2**(n-dim) coset values.  Every f with n <= 3 meets every subspace.
+    checked = 0
+    for n in (1, 2, 3):
+        subspaces = every_subspace(n)
+        for code in range(1 << (1 << n)):
+            f = TruthTable(n, [(code >> i) & 1 for i in range(1 << n)])
+            u0 = brute_structures(f).u0
+            for sub in subspaces:
+                assert is_u0(f, sub) == span_equal(sub, u0), (n, code, sub.basis.row_ints())
+                checked += 1
+    assert checked == 4 * 2 + 16 * 5 + 256 * 16
+    # Seeded n = 4 tables, half planted, meet their own U0, one subspace one
+    # dimension larger (f is not constant on its cosets: step 1 decides) and
+    # one smaller (the coset values keep a structure: step 2 decides).
+    rng = np.random.default_rng(0x29)
+    decided = {"own": 0, "larger": 0, "smaller": 0}
+    for trial in range(3000):
+        if trial % 2:
+            f = random_table(4, rng)
+        else:
+            words = rng.integers(1, 16, size=int(rng.integers(1, 5)))
+            f = plant_structure(PlantSpec(4, span_of(4, [int(w) for w in words]), seed=trial))
+        u0 = brute_structures(f).u0
+        rows = u0.basis.row_ints()
+        cases = {"own": u0}
+        if u0.dim < 4:
+            outside = [v for v in range(16) if not u0.contains(BitVector(4, v))]
+            cases["larger"] = span_of(4, [*rows, outside[int(rng.integers(len(outside)))]])
+        if rows:
+            cases["smaller"] = span_of(4, np.delete(rows, int(rng.integers(len(rows)))).tolist())
+        for kind, sub in cases.items():
+            assert is_u0(f, sub) == (kind == "own"), (trial, kind)
+            decided[kind] += 1
+    assert min(decided.values()) >= 1000
+    # dim 0 and dim n at larger n: {0} is U0 of a structure-free table, the
+    # whole space of a constant one, and neither of the other
+    for n in (6, 10):
+        size = 1 << n
+        zero, whole = span_of(n, []), span_of(n, [1 << j for j in range(n)])
+        free = plant_structure(PlantSpec(n, zero, seed=n))
+        for value in (0, 1):
+            const = TruthTable(n, np.full(size, value))
+            assert is_u0(const, whole) and not is_u0(const, zero)
+        assert is_u0(free, zero) and not is_u0(free, whole)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        is_u0(free, span_of(n + 1, []))
 
 
 def test_one_constant_set_nonempty_case():

@@ -21,6 +21,7 @@ from simonstruct.simulate import (
 from _oracles import (
     butterfly_def,
     every_subspace,
+    filter_def,
     full_weights_def,
     popcount,
     slow_walsh,
@@ -354,6 +355,44 @@ def test_anchor_planes_round_keeps_the_inputs_whose_column_is_the_observed_word(
             assert len(seen) == len(np.unique(columns, axis=0))
 
 
+class _GatherLog(np.ndarray):
+    """A table that records the entry count of every index it is read with."""
+
+    def __getitem__(self, index):
+        self.sizes.append(np.size(index))
+        return np.asarray(self)[index]
+
+
+def test_filter_equals_the_per_anchor_loop_and_no_gather_passes_2_to_the_n():
+    # Blocks of up to 2**n // |S| offsets: |S| from one input to all of them
+    # (a constant table keeps every input, so its offsets go one at a time),
+    # up to 3n offsets, one- and two-bit table words.  m is always in S and
+    # the observed values are read at m, so S never empties, as in a round.
+    rng = np.random.default_rng(0x29)
+    checked = 0
+    for n in range(6, 11):
+        size = 1 << n
+        for t in range(6):
+            if t == 0:
+                table = np.zeros(size, dtype=np.uint8)
+            else:
+                table = rng.integers(0, 2 if t % 2 else 4, size=size).astype(np.uint8)
+            for s in sorted({1, 2, 3, n, size // 8, size // 2 - 1, size - 1, size}):
+                m = int(rng.integers(0, size))
+                others = rng.permutation(np.delete(np.arange(size), m))[: s - 1]
+                survivors = np.sort(np.append(others, m)).astype(np.int64)
+                offsets = rng.integers(0, size, size=int(rng.integers(0, 3 * n + 1)))
+                observed = table[m ^ offsets]
+                log = table.view(_GatherLog)
+                log.sizes = []
+                got = simulate._filter(log, survivors, offsets, observed)
+                assert got.dtype == np.int64
+                assert got.tolist() == filter_def(table, survivors, offsets, observed).tolist()
+                assert max(log.sizes, default=0) <= size
+                checked += 1
+    assert checked == 5 * 6 * 8
+
+
 # ------------------------------------------------------ reduced law vs definition
 
 
@@ -480,6 +519,27 @@ def test_coset_law_is_a_point_mass_with_no_transform(monkeypatch):
                     _assert_draws_exact(out, cache)
                 checked += 1
     assert checked == 372
+
+
+def test_coset_point_mass_is_one_shared_read_only_array_per_r():
+    # the law of a coset depends only on r, so every coset of dimension r,
+    # whatever n, its span and its shift, reads one array that nobody can write
+    rng = np.random.default_rng(0x2A)
+    for r in range(5):
+        laws = []
+        for n in (max(r, 1), r + 2, r + 5):
+            words = [1 << j for j in range(r)] if n == r + 2 else rng.integers(1, 1 << n, size=r)
+            span = span_of(n, [int(w) for w in words])
+            for x0 in rng.integers(0, 1 << n, size=2).tolist():
+                if span.dim == r:
+                    laws.append(CollapseOutcome(n, (), np.sort(span.member_ints() ^ x0)).weights())
+        assert len(laws) >= 2 and all(law.r == r for law in laws)
+        shared = laws[0].cumulative
+        assert all(law.cumulative is shared for law in laws)
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0
+        assert np.diff(shared, prepend=0).tolist() == [4**r] + [0] * ((1 << r) - 1)
 
 
 def test_full_weights_equal_the_parity_expansion():
